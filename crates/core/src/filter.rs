@@ -21,6 +21,22 @@
 //! Neither changes the space complexity (Thm 8.8): the offset stack depth
 //! is bounded by the path recursion depth `r`, which the theorem already
 //! charges per record.
+//!
+//! ## Layout: per-level runs
+//!
+//! The frontier table holds exactly the paper's rows, but not as one flat
+//! list. A child-axis record is a candidate only at its own level, and
+//! the records of level `l + 1` are all spawned by the open element at
+//! level `l` and die at its close. So child- and attribute-axis records
+//! live in one flat vector cut into **per-level runs** (a stack of run
+//! boundaries, one per open level), and descendant-axis records, which
+//! stay candidates at every deeper level, live in a second level-ordered
+//! vector threaded into one newest-first chain per query node. A start
+//! tag touches its own level's run plus the chains of the descendant
+//! nodes whose node test it passes; an end tag folds and pops the top
+//! run. Per-tag cost is therefore O(records at this level + descendant
+//! records selected), independent of the document depth — the stack
+//! discipline of the XFilter/YFilter runtime stacks.
 
 use crate::reporter::{Frame, Match, MatchSink, Reporter};
 use crate::space::SpaceStats;
@@ -127,6 +143,12 @@ pub struct CompiledQuery {
     /// child axis (precomputed so spawning a filter from shared compiled
     /// state allocates nothing).
     pub(crate) out_axes_child: Vec<bool>,
+    /// The descendant-axis nodes: the only ones whose records can be
+    /// candidates below their own level.
+    desc_nodes: Vec<u32>,
+    /// Whether some leaf carries a value predicate (buffers its string
+    /// value): without one, end tags close no leaf candidacy.
+    has_pred_leaves: bool,
     size: usize,
     source: String,
     /// The symbol table the node tests were resolved against. Events
@@ -206,6 +228,10 @@ impl CompiledQuery {
             .iter()
             .map(|&n| nodes[n as usize].axis != Axis::Descendant)
             .collect();
+        let desc_nodes = (0..nodes.len() as u32)
+            .filter(|&u| nodes[u as usize].axis == Axis::Descendant)
+            .collect();
+        let has_pred_leaves = nodes.iter().any(|n| n.leaf_predicate.is_some());
         Ok(CompiledQuery {
             nodes,
             parents,
@@ -213,6 +239,8 @@ impl CompiledQuery {
             out_path,
             path_index,
             out_axes_child,
+            desc_nodes,
+            has_pred_leaves,
             size: q.len(),
             source: fx_xpath::to_xpath(q),
             symbols,
@@ -316,7 +344,20 @@ pub struct StreamFilter {
 /// that keep the handlers allocation-free in steady state.
 #[derive(Debug, Clone)]
 struct FilterState {
-    frontier: Vec<FrontierRecord>,
+    /// Child- and attribute-axis records, cut into one contiguous run per
+    /// open document level: run `k` is `recs[runs[k]..runs[k + 1]]` (the
+    /// top run extends to the end). Such a record is a candidate only at
+    /// exactly its own level, so a tag reads its level's run alone.
+    recs: Vec<FrontierRecord>,
+    /// Run boundaries: `runs.len() == current_level + 1` at all times.
+    runs: Vec<usize>,
+    /// Descendant-axis records in insertion order — hence level order, so
+    /// the records of the innermost open level are always a suffix.
+    desc: Vec<DescRecord>,
+    /// Per query node: the index in `desc` of its newest record, or
+    /// [`NO_REC`] — the head of the node's chain through
+    /// [`DescRecord::prev`].
+    desc_top: Vec<u32>,
     buffer: String,
     buffer_refs: usize,
     current_level: usize,
@@ -334,14 +375,8 @@ struct FilterState {
     /// multi-query bank re-run the (recursive) early-decision check only
     /// when it could possibly have changed.
     match_progress: u64,
-    /// Reused per-event scratch: indices of child-axis records leaving
-    /// the table at a `startElement`.
-    scratch_remove: Vec<usize>,
     /// Reused per-event scratch: records spawned at a `startElement`.
     scratch_insert: Vec<FrontierRecord>,
-    /// Reused per-event scratch: distinct parents folded at an
-    /// `endElement`.
-    scratch_parents: Vec<u32>,
     /// Reused per-event scratch: `(parent, all_matched, pred_matched)`
     /// fold results of an `endElement`.
     scratch_groups: Vec<(u32, bool, bool)>,
@@ -352,6 +387,17 @@ struct FilterState {
     /// is skipped — most events of a steady stream don't re-enter the
     /// observation arithmetic at all.
     observe_snap: (usize, usize, usize, usize),
+}
+
+/// The end of a descendant-axis chain.
+const NO_REC: u32 = u32::MAX;
+
+/// A descendant-axis frontier row plus the link to the previous record
+/// of the same query node.
+#[derive(Debug, Clone)]
+struct DescRecord {
+    rec: FrontierRecord,
+    prev: u32,
 }
 
 impl StreamFilter {
@@ -375,7 +421,10 @@ impl StreamFilter {
         StreamFilter {
             query,
             st: FilterState {
-                frontier: Vec::new(),
+                recs: Vec::new(),
+                runs: Vec::new(),
+                desc: Vec::new(),
+                desc_top: Vec::new(),
                 buffer: String::new(),
                 buffer_refs: 0,
                 current_level: 0,
@@ -385,9 +434,7 @@ impl StreamFilter {
                 element_ordinal: 0,
                 removed_matched: Vec::new(),
                 match_progress: 0,
-                scratch_remove: Vec::new(),
                 scratch_insert: Vec::new(),
-                scratch_parents: Vec::new(),
                 scratch_groups: Vec::new(),
                 observe_snap: (0, 0, 0, 0),
             },
@@ -578,7 +625,7 @@ impl StreamFilter {
         // `buffer_refs` counts the open leaf candidacies, which is
         // exactly the total of per-record offset-stack entries.
         let snap = (
-            st.frontier.len(),
+            st.recs.len() + st.desc.len(),
             st.buffer_refs,
             st.buffer.len(),
             st.current_level,
@@ -665,9 +712,8 @@ impl StreamFilter {
         // dissemination case: most `/doc[...]`-shaped filters die on the
         // root tag of a non-matching document.
         if self.st.current_level > 0 {
-            let impossible = self.st.frontier.iter().any(|r| {
-                r.level == 0
-                    && !r.matched
+            let impossible = self.st.run(0).iter().any(|r| {
+                !r.matched
                     && r.str_starts.is_empty()
                     && self.query.nodes[r.node as usize].axis == Axis::Child
             });
@@ -700,6 +746,10 @@ impl StreamFilter {
     /// get empty frames — correct, since none of them was a candidate.
     pub(crate) fn fast_forward(&mut self, level: usize) {
         self.st.current_level = level;
+        // The skipped levels hold no records: empty runs.
+        for _ in 0..level {
+            self.st.runs.push(self.st.recs.len());
+        }
         if let Some(rep) = &mut self.st.reporter {
             for _ in 0..level {
                 rep.open_element(Frame::default());
@@ -707,21 +757,9 @@ impl StreamFilter {
         }
     }
 
-    /// Resets the cumulative space/pending statistics to a fresh-filter
-    /// state, so a *pooled* filter (the indexed bank recycles retired
-    /// residual instances) reports exactly what a newly-spawned one
-    /// would. Frontier state is reset by the next `StartDocument` as
-    /// usual; only the monotone counters need explicit clearing.
-    pub(crate) fn reset_metrics(&mut self) {
-        self.st.stats = SpaceStats::new(self.query.size());
-        self.st.observe_snap = (0, 0, 0, 0);
-        if let Some(rep) = &mut self.st.reporter {
-            rep.reset();
-            rep.max_pendings = 0;
-        }
-    }
-
-    /// The space statistics gathered so far.
+    /// The space statistics of the current (or last) document: every
+    /// `StartDocument` starts them afresh, so a filter reused across
+    /// documents reports each one exactly as a new filter would.
     pub fn stats(&self) -> &SpaceStats {
         &self.st.stats
     }
@@ -732,9 +770,14 @@ impl StreamFilter {
         self.st.stats.max_bits
     }
 
-    /// A snapshot of the frontier table (for tracing, cf. Fig. 22).
-    pub fn frontier(&self) -> &[FrontierRecord] {
-        &self.st.frontier
+    /// The rows of the frontier table (for tracing, cf. Fig. 22): the
+    /// child- and attribute-axis runs from the outermost level in, then
+    /// the descendant-axis records in insertion order.
+    pub fn frontier(&self) -> impl Iterator<Item = &FrontierRecord> + '_ {
+        self.st
+            .recs
+            .iter()
+            .chain(self.st.desc.iter().map(|d| &d.rec))
     }
 
     /// Renders a frontier record's node test (for traces).
@@ -747,6 +790,28 @@ impl StreamFilter {
 /// the compiled query as a plain borrow, so reading node data and
 /// mutating the frontier cost nothing beyond the work itself.
 impl FilterState {
+    /// The child- and attribute-axis records of document level `level`
+    /// (empty for a level that is not open).
+    fn run(&self, level: usize) -> &[FrontierRecord] {
+        match self.runs.get(level) {
+            Some(&from) => {
+                let to = self.runs.get(level + 1).copied().unwrap_or(self.recs.len());
+                &self.recs[from..to]
+            }
+            None => &[],
+        }
+    }
+
+    /// The records of descendant-axis query node `u`, newest first.
+    fn chain(&self, u: u32) -> impl Iterator<Item = &FrontierRecord> + '_ {
+        let mut i = self.desc_top[u as usize];
+        std::iter::from_fn(move || {
+            let d = self.desc.get(i as usize)?;
+            i = d.prev;
+            Some(&d.rec)
+        })
+    }
+
     /// See [`StreamFilter::decided`]: whether query node `u`, expected
     /// at frontier level `level`, is already guaranteed a real match.
     /// Either its record is matched, or `u` is mid-candidacy (child-axis
@@ -755,14 +820,15 @@ impl FilterState {
     /// to fold `u` to matched, because matched flags are monotone in
     /// filtering mode.
     fn satisfied_at(&self, q: &CompiledQuery, u: u32, level: usize) -> bool {
-        if self
-            .frontier
-            .iter()
-            .any(|r| r.node == u && r.level == level && r.matched)
-        {
+        let n = &q.nodes[u as usize];
+        let matched = if n.axis == Axis::Descendant {
+            self.chain(u).any(|r| r.level == level && r.matched)
+        } else {
+            self.run(level).iter().any(|r| r.node == u && r.matched)
+        };
+        if matched {
             return true;
         }
-        let n = &q.nodes[u as usize];
         if n.is_leaf || n.axis == Axis::Attribute {
             return false;
         }
@@ -774,7 +840,15 @@ impl FilterState {
     fn start_document(&mut self, q: &CompiledQuery) {
         // The document root is, by definition, the unique candidate match
         // for ROOT(Q); its children enter the frontier at level 0.
-        self.frontier.clear();
+        self.recs.clear();
+        self.runs.clear();
+        self.runs.push(0);
+        // Unlink the chains of the records still open (the root
+        // children's, after a complete document).
+        for d in self.desc.drain(..) {
+            self.desc_top[d.rec.node as usize] = NO_REC;
+        }
+        self.desc_top.resize(q.nodes.len(), NO_REC);
         self.buffer.clear();
         self.buffer_refs = 0;
         self.current_level = 0;
@@ -782,22 +856,26 @@ impl FilterState {
         self.element_ordinal = 0;
         self.removed_matched.clear();
         self.match_progress = 0;
+        // Space statistics are per document ("one filter execution").
+        self.stats = SpaceStats::new(q.size());
+        self.observe_snap = (0, 0, 0, 0);
         if let Some(rep) = &mut self.reporter {
             rep.reset();
+            rep.max_pendings = 0;
         }
         for &v in &q.root_children {
-            self.frontier.push(FrontierRecord {
+            let rec = FrontierRecord {
                 node: v,
                 matched: false,
                 level: 0,
                 str_starts: Vec::new(),
-            });
+            };
+            insert(q, &mut self.recs, &mut self.desc, &mut self.desc_top, rec);
         }
     }
 
     fn start_element(&mut self, q: &CompiledQuery, name: Sym, attributes: &[SymAttr], span: Span) {
         let lvl = self.current_level;
-        let reporting = self.reporter.is_some();
         let ordinal = self.element_ordinal;
         self.element_ordinal += 1;
         if lvl == 0 {
@@ -806,119 +884,99 @@ impl FilterState {
             // dead from here on (see `decided`).
             self.match_progress += 1;
         }
-        let mut frame = if reporting {
-            Some(Frame {
-                ordinal,
-                span_start: span.start,
-                ..Frame::default()
-            })
-        } else {
-            None
-        };
-        // One pass over the pre-existing records: select the frontier
-        // records for which this element is a candidate match (Fig. 20
-        // lines 1–4) and process each selection in place — leaves begin
-        // buffering; internal nodes spawn child records (and child-axis
-        // records temporarily leave the table, Fig. 20 lines 10–11).
-        // Selection reads only the record under the cursor, so fusing
-        // the passes changes nothing; removals and insertions are staged
-        // in reused scratch buffers and applied after the scan, keeping
-        // the original table order and the whole pass allocation-free.
+        let reporting = self.reporter.is_some();
+        let mut frame = reporting.then(|| Frame {
+            ordinal,
+            span_start: span.start,
+            ..Frame::default()
+        });
+        // Select the frontier records for which this element is a
+        // candidate match (Fig. 20 lines 1–4) and process each selection
+        // in place. Spawned records are staged in reused scratch and
+        // enter the table after both scans, so neither scan sees them.
         // In reporting mode, records on the output path stay candidates
         // even after a real match was found elsewhere: full evaluation
         // must examine *every* candidate, not stop at the first.
-        debug_assert!(self.scratch_remove.is_empty() && self.scratch_insert.is_empty());
-        for i in 0..self.frontier.len() {
-            let rec = &self.frontier[i];
-            let node = rec.node;
-            // Cheapest rejections first: the node test (one integer
-            // compare) and the level check throw out almost every
-            // (record, event) pair before any further loads.
-            let n = &q.nodes[node as usize];
+        debug_assert!(self.scratch_insert.is_empty());
+        debug_assert_eq!(self.runs.len(), lvl + 1);
+        let FilterState {
+            recs,
+            runs,
+            desc,
+            desc_top,
+            buffer,
+            buffer_refs,
+            stats,
+            match_progress,
+            removed_matched,
+            scratch_insert,
+            ..
+        } = self;
+        let mut sel = Select {
+            lvl,
+            attributes,
+            buffer_len: buffer.len(),
+            buffer_refs,
+            match_progress,
+            stats,
+            spawned: scratch_insert,
+            removed: reporting.then_some(removed_matched),
+            frame: frame.as_mut(),
+        };
+
+        // Descendant-axis records: every open one was inserted at a level
+        // ≤ `lvl`, so the node test alone selects. A node's chain runs
+        // newest first, and for internal and unrestricted-leaf nodes the
+        // matched records form its oldest segment (they turn matched all
+        // at once, and later insertions start unmatched), so the walk
+        // stops at the first matched one. Predicate leaves match record
+        // by record and are walked whole.
+        for &u in &q.desc_nodes {
+            let n = &q.nodes[u as usize];
             if !n.passes(name) {
                 continue;
             }
-            let level_ok = match n.axis {
-                Axis::Descendant => lvl >= rec.level,
-                Axis::Attribute => false, // resolve from start tags below
-                _ => lvl == rec.level,
-            };
-            if !level_ok {
-                continue;
-            }
-            if rec.matched && !(reporting && q.path_index[node as usize].is_some()) {
-                continue;
-            }
-            if let Some(frame) = &mut frame {
-                if let Some(idx) = q.path_index[node as usize] {
-                    if !frame.candidates.contains(&idx) {
-                        frame.candidates.push(idx);
+            let every = reporting && q.path_index[u as usize].is_some();
+            let prefix = n.leaf_predicate.is_none();
+            let mut i = desc_top[u as usize];
+            while i != NO_REC {
+                let d = &mut desc[i as usize];
+                i = d.prev;
+                if d.rec.matched && !every {
+                    if prefix {
+                        break;
                     }
-                    if n.is_leaf && n.leaf_predicate.is_none() && idx as usize == q.out_path.len() {
-                        frame.out_leaf_unrestricted = true;
-                    }
+                    continue;
                 }
-            }
-            if n.is_leaf {
-                if n.leaf_predicate.is_some() {
-                    self.buffer_refs += 1;
-                    self.frontier[i].str_starts.push(self.buffer.len());
-                } else {
-                    // TRUTH(u) = S: any candidate is a real match; decide
-                    // now and skip buffering.
-                    self.frontier[i].matched = true;
-                    self.match_progress += 1;
-                }
-            } else {
-                if n.axis == Axis::Child {
-                    if reporting {
-                        self.removed_matched
-                            .push((node, lvl, self.frontier[i].matched));
-                    }
-                    self.scratch_remove.push(i);
-                }
-                for &v in &n.children {
-                    let vn = &q.nodes[v as usize];
-                    if vn.axis == Axis::Attribute {
-                        // Attributes arrive with this very start tag:
-                        // resolve immediately.
-                        let matched = attributes.iter().any(|a| {
-                            vn.passes(a.name)
-                                && vn.children.is_empty()
-                                && Self::value_in_truth(vn, &a.value)
-                        });
-                        if let Some(w) = attributes
-                            .iter()
-                            .find(|a| vn.passes(a.name))
-                            .map(|a| a.value.chars().count())
-                        {
-                            self.stats.observe_text_width(w);
-                        }
-                        if matched {
-                            self.match_progress += 1;
-                        }
-                        self.scratch_insert.push(FrontierRecord {
-                            node: v,
-                            matched,
-                            level: lvl + 1,
-                            str_starts: Vec::new(),
-                        });
-                    } else {
-                        self.scratch_insert.push(FrontierRecord {
-                            node: v,
-                            matched: false,
-                            level: lvl + 1,
-                            str_starts: Vec::new(),
-                        });
-                    }
-                }
+                sel.select(q, &mut d.rec);
             }
         }
-        // Apply removals back-to-front so indices stay valid.
-        while let Some(i) = self.scratch_remove.pop() {
-            self.frontier.remove(i);
+
+        // Child-axis records of this level (attribute-axis rows are never
+        // candidates). Internal ones leave the table for the candidacy
+        // (Fig. 20 lines 10–11): the run is compacted in place.
+        let base = runs[lvl];
+        let mut keep = base;
+        for i in base..recs.len() {
+            let node = recs[i].node as usize;
+            let n = &q.nodes[node];
+            let selected = n.axis == Axis::Child
+                && n.passes(name)
+                && (!recs[i].matched || (reporting && q.path_index[node].is_some()));
+            if !(selected && sel.select(q, &mut recs[i])) {
+                recs.swap(keep, i);
+                keep += 1;
+            }
         }
-        self.frontier.append(&mut self.scratch_insert);
+        recs.truncate(keep);
+
+        // The spawned records form the new level's run.
+        runs.push(recs.len());
+        if !scratch_insert.is_empty() {
+            for rec in scratch_insert.drain(..) {
+                insert(q, recs, desc, desc_top, rec);
+            }
+        }
         self.current_level = lvl + 1;
         if let (Some(rep), Some(frame)) = (&mut self.reporter, frame) {
             rep.open_element(frame);
@@ -944,113 +1002,123 @@ impl FilterState {
         // prober feeds crossed prefix/suffix pairs that may be malformed).
         self.current_level = self.current_level.saturating_sub(1);
         let lvl = self.current_level;
-
-        // 1. Leaf records whose candidacy ends here: evaluate the buffered
-        //    string value against TRUTH(u) (Fig. 21 lines 2–10).
         let reporting = self.reporter.is_some();
         let out_node = q.out_path.last().copied();
         let mut out_leaf_value: Option<bool> = None;
-        for i in 0..self.frontier.len() {
-            let node = self.frontier[i].node;
-            let n = &q.nodes[node as usize];
-            if !n.passes(name) {
-                continue;
-            }
-            if !n.is_leaf || n.leaf_predicate.is_none() || n.axis == Axis::Attribute {
-                continue;
-            }
-            let level_ok = match n.axis {
-                Axis::Descendant => lvl >= self.frontier[i].level,
-                _ => lvl == self.frontier[i].level,
+        let FilterState {
+            recs,
+            runs,
+            desc,
+            desc_top,
+            buffer,
+            buffer_refs,
+            stats,
+            match_progress,
+            removed_matched,
+            scratch_groups,
+            ..
+        } = self;
+        // 1. Leaf records whose candidacy ends here: evaluate the buffered
+        //    string value against TRUTH(u) (Fig. 21 lines 2–10). Child-axis
+        //    leaves of this level sit in its run; descendant-axis leaves
+        //    inserted at or above it are on their chains.
+        if q.has_pred_leaves {
+            let mut close = Close {
+                buffer,
+                buffer_refs,
+                match_progress: &mut *match_progress,
+                stats,
+                out_leaf_value: &mut out_leaf_value,
             };
-            if !level_ok || self.frontier[i].str_starts.is_empty() {
-                continue;
-            }
-            let start = self.frontier[i]
-                .str_starts
-                .pop()
-                .expect("checked non-empty");
-            let value = &self.buffer[start..];
-            self.stats.observe_text_width(value.chars().count());
-            let needs_value = !self.frontier[i].matched || (reporting && Some(node) == out_node);
-            if needs_value {
-                let ok = Self::value_in_truth(n, value);
-                self.frontier[i].matched |= ok;
-                if ok {
-                    self.match_progress += 1;
-                }
-                if reporting && Some(node) == out_node {
-                    out_leaf_value = Some(ok);
+            let from = runs[lvl];
+            let to = runs.get(lvl + 1).copied().unwrap_or(recs.len());
+            for rec in &mut recs[from..to] {
+                let n = &q.nodes[rec.node as usize];
+                if n.axis == Axis::Child && n.leaf_predicate.is_some() && n.passes(name) {
+                    close.close(n, rec, reporting && Some(rec.node) == out_node);
                 }
             }
-            self.buffer_refs -= 1;
-            if self.buffer_refs == 0 {
-                self.buffer.clear();
+            for &u in &q.desc_nodes {
+                let n = &q.nodes[u as usize];
+                if !(n.leaf_predicate.is_some() && n.passes(name)) {
+                    continue;
+                }
+                let mut i = desc_top[u as usize];
+                while i != NO_REC {
+                    let d = &mut desc[i as usize];
+                    i = d.prev;
+                    if d.rec.level <= lvl {
+                        close.close(n, &mut d.rec, reporting && Some(u) == out_node);
+                    }
+                }
             }
         }
 
-        // 2. Child records of candidates ending at this element: group by
-        //    parent, conjoin their matched flags, and fold into the parent
-        //    record (Fig. 21 lines 11–29, with `matched ∨= m`).
-        debug_assert!(self.scratch_parents.is_empty() && self.scratch_groups.is_empty());
-        for rec in &self.frontier {
-            if rec.level > lvl {
+        // 2. Child records of candidates ending at this element — exactly
+        //    the closing level's run and the descendant-axis suffix
+        //    inserted there: group by parent, conjoin their matched
+        //    flags, pop them, and fold into the parent record (Fig. 21
+        //    lines 11–29, with `matched ∨= m`).
+        debug_assert!(scratch_groups.is_empty());
+        if runs.len() > lvl + 1 {
+            let top = runs.pop().expect("checked above");
+            let mut first_desc = desc.len();
+            while first_desc > 0 && desc[first_desc - 1].rec.level > lvl {
+                first_desc -= 1;
+            }
+            let mut group = |rec: &FrontierRecord| {
                 let p = q.parents[rec.node as usize];
-                if !self.scratch_parents.contains(&p) {
-                    self.scratch_parents.push(p);
+                // The successor child does not participate in the
+                // *predicate* conjunction (it is the output-path
+                // continuation).
+                let successor =
+                    q.path_index[p as usize].and_then(|idx| q.out_path.get(idx as usize).copied());
+                let pred = rec.matched || Some(rec.node) == successor;
+                match scratch_groups.iter_mut().find(|g| g.0 == p) {
+                    Some(g) => {
+                        g.1 &= rec.matched;
+                        g.2 &= pred;
+                    }
+                    None => scratch_groups.push((p, rec.matched, pred)),
                 }
+            };
+            recs[top..].iter().for_each(&mut group);
+            desc[first_desc..].iter().for_each(|d| group(&d.rec));
+            recs.truncate(top);
+            while desc.len() > first_desc {
+                let d = desc.pop().expect("non-empty suffix");
+                desc_top[d.rec.node as usize] = d.prev;
             }
         }
-        for pi in 0..self.scratch_parents.len() {
-            let p = self.scratch_parents[pi];
-            // The successor child does not participate in the *predicate*
-            // conjunction (it is the output-path continuation).
-            let successor =
-                q.path_index[p as usize].and_then(|idx| q.out_path.get(idx as usize).copied());
-            let mut all_matched = true;
-            let mut pred_matched = true;
-            let mut k = 0;
-            while k < self.frontier.len() {
-                let rec = &self.frontier[k];
-                if rec.level > lvl && q.parents[rec.node as usize] == p {
-                    all_matched &= rec.matched;
-                    if Some(rec.node) != successor {
-                        pred_matched &= rec.matched;
-                    }
-                    self.frontier.remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-            self.scratch_groups.push((p, all_matched, pred_matched));
+        for &(p, all_matched, _) in scratch_groups.iter() {
             if all_matched {
-                self.match_progress += 1;
+                *match_progress += 1;
             }
-            let pn = &q.nodes[p as usize];
-            if pn.axis == Axis::Descendant {
-                // The record(s) for p are still in the table; accumulate
-                // into every live candidacy (under parent recursion the
-                // same element is a candidate for each of them).
-                for rec in self.frontier.iter_mut().filter(|r| r.node == p) {
-                    rec.matched |= all_matched;
+            if q.nodes[p as usize].axis == Axis::Descendant {
+                // Every live record of p was a candidate for this element
+                // (under parent recursion, one per open candidacy):
+                // accumulate into all of them — the unmatched newest
+                // segment of the chain.
+                if all_matched {
+                    let mut i = desc_top[p as usize];
+                    while i != NO_REC && !desc[i as usize].rec.matched {
+                        desc[i as usize].rec.matched = true;
+                        i = desc[i as usize].prev;
+                    }
                 }
             } else {
                 // Reinsert the temporarily-removed child-axis record. In
                 // reporting mode a matched record may have been re-spawned
                 // for a later candidate; restore its previous flag.
-                let was_matched = if self.reporter.is_some() {
-                    match self
-                        .removed_matched
+                let was_matched = reporting
+                    && match removed_matched
                         .iter()
                         .rposition(|&(n, l, _)| n == p && l == lvl)
                     {
-                        Some(pos) => self.removed_matched.remove(pos).2,
+                        Some(pos) => removed_matched.remove(pos).2,
                         None => false,
-                    }
-                } else {
-                    false
-                };
-                self.frontier.push(FrontierRecord {
+                    };
+                recs.push(FrontierRecord {
                     node: p,
                     matched: was_matched || all_matched,
                     level: lvl,
@@ -1058,27 +1126,176 @@ impl FilterState {
                 });
             }
         }
-        self.scratch_parents.clear();
+        // Removals this element's candidacy recorded and no group
+        // reclaimed (duplicate records of one node) end with it.
+        while removed_matched.last().is_some_and(|&(_, l, _)| l == lvl) {
+            removed_matched.pop();
+        }
         if let Some(rep) = &mut self.reporter {
             rep.close_element(
-                &self.scratch_groups,
+                scratch_groups,
                 out_leaf_value,
                 &q.out_path,
                 &q.out_axes_child,
                 span.end,
             );
         }
-        self.scratch_groups.clear();
+        scratch_groups.clear();
     }
 
     fn end_document(&mut self, q: &CompiledQuery) {
         // The document root is a real match for ROOT(Q) iff every child of
-        // ROOT(Q) found a real match.
-        let verdict = q
-            .root_children
-            .iter()
-            .all(|&v| self.frontier.iter().any(|r| r.node == v && r.matched));
+        // ROOT(Q) found a real match. Their records sit at level 0.
+        let verdict = q.root_children.iter().all(|&v| {
+            if q.nodes[v as usize].axis == Axis::Descendant {
+                self.chain(v).any(|r| r.matched)
+            } else {
+                self.run(0).iter().any(|r| r.node == v && r.matched)
+            }
+        });
         self.result = Some(verdict);
+    }
+}
+
+/// Appends a record to the top run, or — descendant axis — to its
+/// node's chain.
+fn insert(
+    q: &CompiledQuery,
+    recs: &mut Vec<FrontierRecord>,
+    desc: &mut Vec<DescRecord>,
+    desc_top: &mut [u32],
+    rec: FrontierRecord,
+) {
+    if q.nodes[rec.node as usize].axis == Axis::Descendant {
+        let node = rec.node as usize;
+        let prev = desc_top[node];
+        desc_top[node] = u32::try_from(desc.len()).expect("frontier rows fit u32 indices");
+        desc.push(DescRecord { rec, prev });
+    } else {
+        recs.push(rec);
+    }
+}
+
+/// What a `startElement` updates besides the selected records: borrowed
+/// field by field, so the record scans can hold the table mutably.
+struct Select<'a> {
+    lvl: usize,
+    attributes: &'a [SymAttr],
+    buffer_len: usize,
+    buffer_refs: &'a mut usize,
+    match_progress: &'a mut u64,
+    stats: &'a mut SpaceStats,
+    /// Records spawned one level down, inserted after the scans.
+    spawned: &'a mut Vec<FrontierRecord>,
+    /// Reporting mode: the flags of child-axis records leaving the table.
+    removed: Option<&'a mut Vec<(u32, usize, bool)>>,
+    frame: Option<&'a mut Frame>,
+}
+
+impl Select<'_> {
+    /// Fig. 20 for one selected record: a leaf begins buffering (or,
+    /// when unrestricted, matches outright); an internal node spawns its
+    /// children one level down. Returns whether the record leaves the
+    /// table for the candidacy (child-axis internal nodes).
+    fn select(&mut self, q: &CompiledQuery, rec: &mut FrontierRecord) -> bool {
+        let node = rec.node;
+        let n = &q.nodes[node as usize];
+        if let Some(frame) = &mut self.frame {
+            if let Some(idx) = q.path_index[node as usize] {
+                if !frame.candidates.contains(&idx) {
+                    frame.candidates.push(idx);
+                }
+                if n.is_leaf && n.leaf_predicate.is_none() && idx as usize == q.out_path.len() {
+                    frame.out_leaf_unrestricted = true;
+                }
+            }
+        }
+        if n.is_leaf {
+            if n.leaf_predicate.is_some() {
+                *self.buffer_refs += 1;
+                rec.str_starts.push(self.buffer_len);
+            } else {
+                // TRUTH(u) = S: any candidate is a real match; decide
+                // now and skip buffering.
+                rec.matched = true;
+                *self.match_progress += 1;
+            }
+            return false;
+        }
+        for &v in &n.children {
+            let vn = &q.nodes[v as usize];
+            let mut matched = false;
+            if vn.axis == Axis::Attribute {
+                // Attributes arrive with this very start tag: resolve
+                // immediately.
+                matched = self.attributes.iter().any(|a| {
+                    vn.passes(a.name)
+                        && vn.children.is_empty()
+                        && FilterState::value_in_truth(vn, &a.value)
+                });
+                if let Some(w) = self
+                    .attributes
+                    .iter()
+                    .find(|a| vn.passes(a.name))
+                    .map(|a| a.value.chars().count())
+                {
+                    self.stats.observe_text_width(w);
+                }
+                if matched {
+                    *self.match_progress += 1;
+                }
+            }
+            self.spawned.push(FrontierRecord {
+                node: v,
+                matched,
+                level: self.lvl + 1,
+                str_starts: Vec::new(),
+            });
+        }
+        if n.axis == Axis::Child {
+            if let Some(removed) = &mut self.removed {
+                removed.push((node, self.lvl, rec.matched));
+            }
+            return true;
+        }
+        false
+    }
+}
+
+/// What an `endElement` updates while closing leaf candidacies.
+struct Close<'a> {
+    buffer: &'a mut String,
+    buffer_refs: &'a mut usize,
+    match_progress: &'a mut u64,
+    stats: &'a mut SpaceStats,
+    out_leaf_value: &'a mut Option<bool>,
+}
+
+impl Close<'_> {
+    /// Fig. 21 lines 2–10 for one leaf record whose node test the
+    /// closing element passed: if a candidacy is open, pop its buffer
+    /// offset and evaluate the string value. `out_leaf` marks the output
+    /// node in reporting mode, whose value is needed even once matched.
+    fn close(&mut self, n: &CNode, rec: &mut FrontierRecord, out_leaf: bool) {
+        let Some(start) = rec.str_starts.pop() else {
+            return;
+        };
+        let value = &self.buffer[start..];
+        self.stats.observe_text_width(value.chars().count());
+        if !rec.matched || out_leaf {
+            let ok = FilterState::value_in_truth(n, value);
+            rec.matched |= ok;
+            if ok {
+                *self.match_progress += 1;
+            }
+            if out_leaf {
+                *self.out_leaf_value = Some(ok);
+            }
+        }
+        *self.buffer_refs -= 1;
+        if *self.buffer_refs == 0 {
+            self.buffer.clear();
+        }
     }
 }
 

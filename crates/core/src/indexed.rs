@@ -17,7 +17,14 @@
 //! the trie and need no instance at all.
 //!
 //! Per-event cost is therefore `O(shared trie records + live residual
-//! instances)` instead of `O(bank size)`: queries whose prefix the
+//! instances)` instead of `O(bank size)` — and the shared state follows
+//! the document's stack discipline: the trie records form per-level
+//! runs (a start tag reads its own level's run plus the armed
+//! descendant-axis trie nodes), dormant activations sit in one
+//! level-ordered stack per compiled residual, and live instances are
+//! ordered by root level, so closing an element pops its level instead
+//! of scanning everything, and neither cost grows with nesting depth.
+//! Queries whose prefix the
 //! document never exhibits cost **zero** per event, and equivalent
 //! queries (equal `fx_analysis::canonical_key`, e.g. commutative
 //! predicate reorderings) are evaluated once and fanned out. On
@@ -285,15 +292,13 @@ struct Instance {
 /// One open occurrence of a trie path in the shared frontier segment.
 /// The node test's dispatch code and axis are denormalized out of the
 /// trie so the per-event scan is a linear pass over a flat array of
-/// 16-byte records doing integer compares — the hot loop the symbol
-/// table exists for.
+/// 12-byte records doing integer compares — the hot loop the symbol
+/// table exists for. Its insertion level is the index of the run it
+/// sits in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TrieRec {
     /// The trie node this record tracks.
     node: u32,
-    /// Insertion level (exact-match level for child-axis nodes, minimum
-    /// level for descendant-axis nodes).
-    level: u32,
     /// The node's [`sym_code`].
     code: u32,
     /// Whether the node's axis is `Descendant`.
@@ -426,9 +431,22 @@ pub struct IndexedBank {
 
     // -- per-document state -------------------------------------------------
     /// The shared frontier segment: one record per open occurrence of a
-    /// trie path, with the node test's dispatch code and axis inlined so
-    /// the per-event scan reads this flat array and nothing else.
+    /// trie path, with the node test's dispatch code and axis inlined.
+    /// Records are pushed one level at a time and dropped when their
+    /// level closes, so the segment is a stack of per-level runs.
     records: Vec<TrieRec>,
+    /// Start of each open level's run in `records`
+    /// (`record_runs.len() == current_level + 1`).
+    record_runs: Vec<usize>,
+    /// Per trie node: its number of live descendant-axis records. Only
+    /// a child-axis record's own level can select it, but a
+    /// descendant-axis node is selected at any depth while it has a
+    /// record — so the walk reads the top run plus `desc_armed`.
+    desc_live: Vec<u32>,
+    /// The descendant-axis trie nodes with live records.
+    desc_armed: Vec<u32>,
+    /// Live residual instances, ordered by `root_level`: those rooted at
+    /// a closing element are a suffix, retired by popping.
     instances: Vec<Instance>,
     /// Reused per-event scratch: trie nodes the current start tag
     /// activated.
@@ -440,9 +458,22 @@ pub struct IndexedBank {
     drain_scratch: Vec<(u64, Span)>,
     /// Lock-free name-lookup memo for the owned-event conversion layer.
     name_cache: SymCache,
-    /// Dormant activations (see [`Dormant`]): divergence points reached
-    /// whose residual instances have not been woken yet.
-    dormant: Vec<Dormant>,
+    /// Dormant activations (see [`Dormant`]) per compiled residual, each
+    /// stack ordered by `root_level`: divergence points reached whose
+    /// residual instances have not been woken yet. A start tag wakes a
+    /// whole stack (a descendant-axis trigger fires at any depth) or its
+    /// top level (a child-axis trigger fires only directly below the
+    /// activation), and a closing element pops its level off each stack.
+    dormant: Vec<Vec<Dormant>>,
+    /// The residuals with a non-empty dormant stack.
+    dormant_armed: Vec<u32>,
+    /// Total dormant activations (the sum of the stacks' lengths).
+    dormant_len: usize,
+    /// Set when a filtering-mode group accepts: its dormant activations
+    /// are dropped at the next start tag, before any can wake.
+    dormant_purge: bool,
+    /// Reused scratch: the dormant activations a start tag wakes.
+    scratch_woken: Vec<Dormant>,
     /// Per compiled-residual wake-up specs for dormant activations.
     residual_triggers: Vec<ResidualTriggers>,
     /// Retired residual-instance filters, pooled per compiled-residual
@@ -500,7 +531,10 @@ pub struct IndexedBank {
 /// activation behaviour, in the Theorem 8.8 units of
 /// [`crate::SpaceStats`] — read it from [`IndexedBank::space_stats`] (or
 /// `Session::index_stats` at the engine layer) after a document to
-/// compare indexed-vs-naive space, not just time.
+/// compare indexed-vs-naive space, not just time. The space peaks
+/// (`shared_trie_bits`, `residual_bits`, `total_bits`, `peak_records`)
+/// are the current document's, like every filter's statistics;
+/// `peak_instances`, `activations` and `events` accumulate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexSpaceStats {
     /// Peak bits of the shared trie's frontier segment (rows shared by
@@ -674,12 +708,19 @@ impl IndexedBank {
             pooled,
             shard_owned: None,
             records: Vec::new(),
+            record_runs: vec![0],
+            desc_live: Vec::new(),
+            desc_armed: Vec::new(),
             instances: Vec::new(),
             scratch_activated: Vec::new(),
             attr_scratch: AttrBuf::new(),
             drain_scratch: Vec::new(),
             name_cache: SymCache::new(),
             dormant: Vec::new(),
+            dormant_armed: Vec::new(),
+            dormant_len: 0,
+            dormant_purge: false,
+            scratch_woken: Vec::new(),
             residual_triggers: Vec::new(),
             free_filters: Vec::new(),
             current_level: 0,
@@ -819,7 +860,7 @@ impl IndexedBank {
         if self.dead_slots == 0 || !(self.events == 0 || self.finished) {
             return false;
         }
-        debug_assert!(self.instances.is_empty() && self.dormant.is_empty());
+        debug_assert!(self.instances.is_empty() && self.dormant_len == 0);
         // Carry compiled residual forms and per-group history (peaks
         // and the last document's verdicts) across the rebuild, keyed
         // by canonical form.
@@ -863,13 +904,14 @@ impl IndexedBank {
         self.residual_uses.clear();
         self.residual_triggers.clear();
         self.free_filters.clear();
+        self.dormant.clear();
         self.group_true.clear();
         self.emitted.clear();
         self.peak_bits.clear();
         self.live_bits.clear();
         self.peak_pending.clear();
         self.live_pending.clear();
-        self.records.clear();
+        self.clear_records();
         self.open_terminals.clear();
         self.dead_slots = 0;
 
@@ -997,11 +1039,11 @@ impl IndexedBank {
     /// statistic, so a freshly partitioned shard accounts only what
     /// it processes after the split.
     fn reset_processing_state(&mut self) {
-        self.records.clear();
+        self.clear_records();
         while let Some(inst) = self.instances.pop() {
             self.recycle(inst);
         }
-        self.dormant.clear();
+        self.clear_dormant();
         self.open_terminals.clear();
         self.scratch_activated.clear();
         self.current_level = 0;
@@ -1212,6 +1254,7 @@ impl IndexedBank {
         self.pool_of_key.insert(res.key.clone(), r);
         self.residual_triggers.push(triggers_for(res.compiled()));
         self.free_filters.push(Vec::new());
+        self.dormant.push(Vec::new());
         self.residual_uses.push(1);
         self.residuals.push(res);
         r
@@ -1236,12 +1279,12 @@ impl IndexedBank {
         while i < self.instances.len() {
             if self.instances[i].group as usize == g {
                 self.note_stats(i);
-                self.instances.swap_remove(i);
+                self.instances.remove(i);
             } else {
                 i += 1;
             }
         }
-        self.dormant.retain(|d| d.group as usize != g);
+        self.retain_dormant(|d| d.group as usize != g);
         self.open_terminals
             .retain(|&(_, og, _, _)| og as usize != g);
         self.live_bits[g] = 0;
@@ -1381,7 +1424,7 @@ impl IndexedBank {
         match event.as_ref() {
             EventRef::StartElement { name, attributes } => {
                 let sym = self.name_cache.lookup(&self.symbols, name);
-                if attributes.is_empty() || (self.instances.is_empty() && self.dormant.is_empty()) {
+                if attributes.is_empty() || (self.instances.is_empty() && self.dormant_len == 0) {
                     // No instance will see this start tag's attributes
                     // (instances spawned *at* it never receive it, and
                     // only a live or woken instance ever reads them).
@@ -1495,7 +1538,7 @@ impl IndexedBank {
         self.matching().collect()
     }
 
-    /// Per-query **attributed** peak bits, comparable with
+    /// Per-query **attributed** peak bits of the current document, comparable with
     /// [`crate::MultiFilter`]'s per-filter figures: each group's peak
     /// residual-instance bits are split evenly across the group's
     /// members, and the shared trie's peak bits evenly across the
@@ -1581,13 +1624,18 @@ impl IndexedBank {
     // -- event handlers -----------------------------------------------------
 
     fn start_document(&mut self) {
-        self.records.clear();
-        self.dormant.clear();
+        self.clear_records();
+        self.clear_dormant();
         while let Some(inst) = self.instances.pop() {
             self.recycle(inst);
         }
         self.live_bits.fill(0);
         self.live_pending.fill(0);
+        // Space peaks are per document, like every filter's statistics.
+        self.peak_bits.fill(0);
+        self.peak_pending.fill(0);
+        self.peak_records = 0;
+        self.peak_trie_bits = 0;
         self.open_terminals.clear();
         self.current_level = 0;
         self.element_ordinal = 0;
@@ -1600,7 +1648,7 @@ impl IndexedBank {
         }
         for ci in 0..self.trie[0].children.len() {
             let c = self.trie[0].children[ci];
-            self.push_record(c, 0);
+            self.push_record(c);
         }
         // Empty-prefix groups run as document-rooted activations:
         // exactly the naive bank's per-query filters (short-circuiting
@@ -1634,37 +1682,40 @@ impl IndexedBank {
         // activations registered *by* this element below are appended
         // afterwards and correctly sleep through it.
         let code = name.index() as u32;
-        if !self.dormant.is_empty() {
+        if self.dormant_len > 0 {
             self.trigger_dormant(event, code, lvl, span, sink);
         }
 
         // Walk the shared segment once: which trie nodes does this
-        // element activate? The scan reads the flat record array only —
-        // per record, two integer compares (level, dispatch code).
+        // element activate? A child-axis record can be selected only by
+        // an element on its own level — the top run — while an armed
+        // descendant-axis node is selected at any depth; both checks are
+        // integer compares (level, dispatch code).
         self.scratch_activated.clear();
-        for rec in &self.records {
-            let level_ok = if rec.descendant {
-                lvl >= rec.level
-            } else {
-                lvl == rec.level
-            };
-            if level_ok
+        for &t in &self.desc_armed {
+            let c = self.trie[t as usize].code;
+            if c == WILDCARD_CODE || c == code {
+                self.scratch_activated.push(t);
+            }
+        }
+        let top = self.record_runs[lvl as usize];
+        for rec in &self.records[top..] {
+            if !rec.descendant
                 && (rec.code == WILDCARD_CODE || rec.code == code)
                 && !self.scratch_activated.contains(&rec.node)
             {
                 self.scratch_activated.push(rec.node);
             }
         }
+        // The activated nodes' children open the next level's run.
+        let run = self.records.len();
+        self.record_runs.push(run);
         for ai in 0..self.scratch_activated.len() {
             let t = self.scratch_activated[ai];
             for ci in 0..self.trie[t as usize].children.len() {
                 let c = self.trie[t as usize].children[ci];
-                if !self
-                    .records
-                    .iter()
-                    .any(|r| r.node == c && r.level == lvl + 1)
-                {
-                    self.push_record(c, lvl + 1);
+                if !self.records[run..].iter().any(|r| r.node == c) {
+                    self.push_record(c);
                 }
             }
             for gi in 0..self.trie[t as usize].terminal.len() {
@@ -1679,7 +1730,7 @@ impl IndexedBank {
                     self.open_terminals
                         .push((lvl, g, self.element_ordinal, span.start));
                 } else {
-                    self.group_true[g as usize] = true;
+                    self.accept(g as usize);
                 }
             }
             for gi in 0..self.trie[t as usize].residual.len() {
@@ -1713,7 +1764,7 @@ impl IndexedBank {
         // Dormant activations are bank state too: charge each as one
         // shared-segment row (a group reference plus a level — the same
         // shape as a trie record).
-        let rows = (self.records.len() + self.dormant.len()) as u64;
+        let rows = (self.records.len() + self.dormant_len) as u64;
         self.peak_trie_bits = self.peak_trie_bits.max(rows * row_bits);
     }
 
@@ -1724,23 +1775,39 @@ impl IndexedBank {
         self.feed_instances(event, span, new_level as i64, sink);
         self.current_level = new_level;
 
-        // Retire instances rooted at the closing element.
-        let mut i = 0;
-        while i < self.instances.len() {
-            if self.instances[i].root_level == new_level as i64 {
-                self.retire_instance(i, sink);
-            } else {
-                i += 1;
-            }
+        // Retire instances rooted at the closing element: the suffix of
+        // the root-ordered instance list.
+        while self
+            .instances
+            .last()
+            .is_some_and(|inst| inst.root_level == new_level as i64)
+        {
+            self.retire_last(sink);
         }
 
-        // Drop shared records spawned inside the closing element, and
-        // dormant activations rooted at it — their subtree ended with
-        // no wake-up, so their verdicts are (correctly) still false and
-        // the instance never needed to exist.
-        self.records.retain(|r| r.level <= new_level);
-        if !self.dormant.is_empty() {
-            self.dormant.retain(|d| d.root_level != new_level as i64);
+        // Drop shared records spawned inside the closing element (its
+        // child level's run), and dormant activations rooted at it —
+        // their subtree ended with no wake-up, so their verdicts are
+        // (correctly) still false and the instance never needed to exist.
+        if self.record_runs.len() > new_level as usize + 1 {
+            let run = self.record_runs.pop().expect("checked above");
+            self.truncate_records(run);
+        }
+        let mut ai = 0;
+        while ai < self.dormant_armed.len() {
+            let stack = &mut self.dormant[self.dormant_armed[ai] as usize];
+            while stack
+                .last()
+                .is_some_and(|d| d.root_level == new_level as i64)
+            {
+                stack.pop();
+                self.dormant_len -= 1;
+            }
+            if stack.is_empty() {
+                self.dormant_armed.swap_remove(ai);
+            } else {
+                ai += 1;
+            }
         }
 
         // Terminal activations of the closing element: the span is now
@@ -1757,22 +1824,95 @@ impl IndexedBank {
 
     fn end_document(&mut self, sink: &mut dyn MatchSink) {
         while !self.instances.is_empty() {
-            self.retire_instance(0, sink);
+            self.retire_last(sink);
         }
-        self.dormant.clear();
+        self.clear_dormant();
         self.finished = true;
     }
 
-    /// Appends an open-occurrence record for trie node `t`, inlining its
-    /// dispatch code and axis.
-    fn push_record(&mut self, t: u32, level: u32) {
+    /// Appends an open-occurrence record for trie node `t` to the top
+    /// run, inlining its dispatch code and axis.
+    fn push_record(&mut self, t: u32) {
         let node = &self.trie[t as usize];
+        let descendant = node.axis == Axis::Descendant;
         self.records.push(TrieRec {
             node: t,
-            level,
             code: node.code,
-            descendant: node.axis == Axis::Descendant,
+            descendant,
         });
+        if descendant {
+            if self.desc_live.len() <= t as usize {
+                self.desc_live.resize(self.trie.len(), 0);
+            }
+            if self.desc_live[t as usize] == 0 {
+                self.desc_armed.push(t);
+            }
+            self.desc_live[t as usize] += 1;
+        }
+    }
+
+    /// Drops the records from index `run` on (whole closing levels).
+    fn truncate_records(&mut self, run: usize) {
+        while self.records.len() > run {
+            let rec = self.records.pop().expect("non-empty suffix");
+            if rec.descendant {
+                let t = rec.node as usize;
+                self.desc_live[t] -= 1;
+                if self.desc_live[t] == 0 {
+                    let at = self
+                        .desc_armed
+                        .iter()
+                        .position(|&a| a as usize == t)
+                        .expect("live descendant node is armed");
+                    self.desc_armed.swap_remove(at);
+                }
+            }
+        }
+    }
+
+    /// Empties the shared segment, leaving the document-level run open.
+    fn clear_records(&mut self) {
+        self.records.clear();
+        self.record_runs.clear();
+        self.record_runs.push(0);
+        self.desc_live.clear();
+        self.desc_armed.clear();
+    }
+
+    /// Drops every dormant activation.
+    fn clear_dormant(&mut self) {
+        for &rid in &self.dormant_armed {
+            self.dormant[rid as usize].clear();
+        }
+        self.dormant_armed.clear();
+        self.dormant_len = 0;
+        self.dormant_purge = false;
+    }
+
+    /// Keeps only the dormant activations `keep` accepts.
+    fn retain_dormant(&mut self, mut keep: impl FnMut(&Dormant) -> bool) {
+        let mut ai = 0;
+        while ai < self.dormant_armed.len() {
+            let stack = &mut self.dormant[self.dormant_armed[ai] as usize];
+            let before = stack.len();
+            stack.retain(&mut keep);
+            self.dormant_len -= before - stack.len();
+            if stack.is_empty() {
+                self.dormant_armed.swap_remove(ai);
+            } else {
+                ai += 1;
+            }
+        }
+    }
+
+    /// Records a group's acceptance (monotone within a document). In
+    /// filtering mode its dormant activations become pure overhead and
+    /// are dropped at the next start tag.
+    fn accept(&mut self, g: usize) {
+        if !self.group_true[g] {
+            self.group_true[g] = true;
+            self.dormant_purge = true;
+        }
     }
 
     // -- instance plumbing --------------------------------------------------
@@ -1785,20 +1925,27 @@ impl IndexedBank {
     /// activation subtree (see [`triggers_for`]), so skipping their
     /// triggers loses nothing.
     fn activate(&mut self, g: u32, root_level: i64) {
-        debug_assert!(
-            self.groups[g as usize].residual.is_some(),
-            "only residual groups activate"
-        );
-        self.dormant.push(Dormant {
+        let rid = self.groups[g as usize]
+            .residual
+            .expect("only residual groups activate");
+        let stack = &mut self.dormant[rid as usize];
+        if stack.is_empty() {
+            self.dormant_armed.push(rid);
+        }
+        stack.push(Dormant {
             group: g,
             root_level,
         });
+        self.dormant_len += 1;
     }
 
     /// Wakes every dormant activation the current start tag triggers:
     /// the woken instance is fast-forwarded to its relative depth (the
     /// skipped events provably left it untouched — nothing selected)
-    /// and fed this event as its first.
+    /// and fed this event as its first. Per residual, a matching
+    /// descendant-axis trigger wakes the whole stack and a matching
+    /// child-axis trigger only the activations rooted at the parent
+    /// level (relative depth 0); other stacks are not touched.
     fn trigger_dormant(
         &mut self,
         event: SymEvent<'_>,
@@ -1807,27 +1954,48 @@ impl IndexedBank {
         span: Span,
         sink: &mut dyn MatchSink,
     ) {
-        let mut di = 0;
-        while di < self.dormant.len() {
-            let d = self.dormant[di];
+        if std::mem::take(&mut self.dormant_purge) && !self.reporting {
+            // Accepted groups need no instance — drop their entries.
+            let accepted = std::mem::take(&mut self.group_true);
+            self.retain_dormant(|d| !accepted[d.group as usize]);
+            self.group_true = accepted;
+        }
+        let mut woken = std::mem::take(&mut self.scratch_woken);
+        let mut ai = 0;
+        while ai < self.dormant_armed.len() {
+            let rid = self.dormant_armed[ai] as usize;
+            let fires = |desc: bool| {
+                self.residual_triggers[rid]
+                    .specs
+                    .iter()
+                    .any(|&(c, d)| d == desc && (c == WILDCARD_CODE || c == code))
+            };
+            let stack = &mut self.dormant[rid];
+            let from = if fires(true) {
+                0
+            } else if fires(false) {
+                stack.partition_point(|d| d.root_level + 1 < lvl as i64)
+            } else {
+                ai += 1;
+                continue;
+            };
+            debug_assert!(
+                stack.last().is_some_and(|d| d.root_level < lvl as i64),
+                "dormant entries live above the event"
+            );
+            self.dormant_len -= stack.len() - from;
+            woken.extend(stack.drain(from..));
+            if stack.is_empty() {
+                self.dormant_armed.swap_remove(ai);
+            } else {
+                ai += 1;
+            }
+        }
+        for &d in &woken {
             let g = d.group as usize;
             if !self.reporting && self.group_true[g] {
-                // Accepted groups need no instance — drop the entry.
-                self.dormant.swap_remove(di);
-                continue;
+                continue; // accepted by an instance woken before it
             }
-            let rel = lvl as i64 - d.root_level - 1;
-            debug_assert!(rel >= 0, "dormant entries live above the event");
-            let rid = self.groups[g].residual.expect("dormant ⇒ residual");
-            let fired = self.residual_triggers[rid as usize]
-                .specs
-                .iter()
-                .any(|&(c, desc)| (desc || rel == 0) && (c == WILDCARD_CODE || c == code));
-            if !fired {
-                di += 1;
-                continue;
-            }
-            self.dormant.swap_remove(di);
             // A shard tracks dormancy for every group (shared-segment
             // parity) but wakes instances only for its own: the entry
             // is consumed exactly when the unsharded bank would
@@ -1835,10 +2003,14 @@ impl IndexedBank {
             if !self.owns_group(g) {
                 continue;
             }
-            let idx =
-                self.spawn_instance_at(d.group, self.element_ordinal, d.root_level, rel as usize);
-            self.feed_one(idx, event, span, sink);
+            let rel = (lvl as i64 - d.root_level - 1) as usize;
+            let idx = self.spawn_instance_at(d.group, self.element_ordinal, d.root_level, rel);
+            if self.feed_one(idx, event, span, sink) {
+                self.remove_instance(idx);
+            }
         }
+        woken.clear();
+        self.scratch_woken = woken;
     }
 
     /// Spawns one residual instance: an `Arc` bump on the group's pooled
@@ -1856,11 +2028,10 @@ impl IndexedBank {
         let rid = self.groups[g as usize]
             .residual
             .expect("only residual groups spawn instances");
+        // A pooled filter's `StartDocument` below resets its frontier
+        // and its statistics alike.
         let mut filter = match self.free_filters[rid as usize].pop() {
-            Some(mut pooled) => {
-                pooled.reset_metrics();
-                pooled
-            }
+            Some(pooled) => pooled,
             None => {
                 let compiled = Arc::clone(&self.residuals[rid as usize].compiled);
                 if self.reporting {
@@ -1877,15 +2048,23 @@ impl IndexedBank {
         }
         let noted_bits = filter.stats().max_bits;
         let noted_pending = filter.peak_pending_positions();
-        self.instances.push(Instance {
-            group: g,
-            filter,
-            ordinal_offset,
-            root_level,
-            progress: 0,
-            noted_bits,
-            noted_pending,
-        });
+        // Keep the list ordered by root level (a woken activation is
+        // usually the innermost, so this is almost always a push).
+        let at = self
+            .instances
+            .partition_point(|inst| inst.root_level <= root_level);
+        self.instances.insert(
+            at,
+            Instance {
+                group: g,
+                filter,
+                ordinal_offset,
+                root_level,
+                progress: 0,
+                noted_bits,
+                noted_pending,
+            },
+        );
         let gi = g as usize;
         self.live_bits[gi] += noted_bits;
         self.peak_bits[gi] = self.peak_bits[gi].max(self.live_bits[gi]);
@@ -1893,12 +2072,13 @@ impl IndexedBank {
         self.peak_pending[gi] = self.peak_pending[gi].max(self.live_pending[gi]);
         self.activations += 1;
         self.peak_instances = self.peak_instances.max(self.instances.len());
-        self.instances.len() - 1
+        at
     }
 
     /// Feeds `event` to every instance rooted strictly above `threshold`
     /// (the level the event occurs at), draining matches and applying
-    /// the decided-filter short-circuit in filtering mode.
+    /// the decided-filter short-circuit in filtering mode. Removed
+    /// instances are compacted out in place, keeping the root order.
     fn feed_instances(
         &mut self,
         event: SymEvent<'_>,
@@ -1906,32 +2086,31 @@ impl IndexedBank {
         threshold: i64,
         sink: &mut dyn MatchSink,
     ) {
-        let mut i = 0;
-        while i < self.instances.len() {
+        let mut keep = 0;
+        for i in 0..self.instances.len() {
             let g = self.instances[i].group as usize;
-            if !self.reporting && self.group_true[g] {
-                // The group already accepted: its verdict cannot change,
-                // so the instance is pure overhead. Same rationale as
-                // MultiFilter's decided-filter skip.
+            // An accepted group's verdict cannot change, so its instance
+            // is pure overhead (same rationale as MultiFilter's
+            // decided-filter skip).
+            let done = (!self.reporting && self.group_true[g])
+                || (threshold > self.instances[i].root_level
+                    && self.feed_one(i, event, span, sink));
+            if done {
                 self.note_stats(i);
-                let inst = self.instances.swap_remove(i);
-                self.recycle(inst);
-                continue;
+            } else {
+                self.instances.swap(keep, i);
+                keep += 1;
             }
-            if threshold <= self.instances[i].root_level {
-                i += 1;
-                continue;
-            }
-            if !self.feed_one(i, event, span, sink) {
-                i += 1;
-            }
+        }
+        while self.instances.len() > keep {
+            let inst = self.instances.pop().expect("non-empty suffix");
+            self.recycle(inst);
         }
     }
 
     /// Feeds `event` to instance `i` with full bookkeeping (match
     /// draining, decided short-circuit, space-delta folding). Returns
-    /// `true` when the instance was removed (its slot now holds the
-    /// previous last instance, swap-remove style).
+    /// `true` when the instance decided and must be removed.
     fn feed_one(
         &mut self,
         i: usize,
@@ -1940,76 +2119,77 @@ impl IndexedBank {
         sink: &mut dyn MatchSink,
     ) -> bool {
         let g = self.instances[i].group as usize;
+        let mut drained = std::mem::take(&mut self.drain_scratch);
+        drained.clear();
+        let mut decided = None;
         {
-            let mut drained = std::mem::take(&mut self.drain_scratch);
-            drained.clear();
-            let mut decided = None;
-            {
-                let inst = &mut self.instances[i];
-                inst.filter.process_sym(event, span);
-                if self.reporting {
-                    inst.filter
-                        .drain_matches(0, &mut |m: Match| drained.push((m.ordinal, m.span)));
-                } else {
-                    let p = inst.filter.match_progress();
-                    if p != inst.progress {
-                        inst.progress = p;
-                        decided = inst.filter.decided();
-                        // The early-reject branch of `decided()` assumes
-                        // level-0 child-axis candidates are exhausted
-                        // after one element — true only for a document's
-                        // unique root. An element-rooted instance sees
-                        // every child of its activation element at level
-                        // 0, so for it only the (monotone) accept is
-                        // decisive.
-                        if decided == Some(false) && inst.root_level >= 0 {
-                            decided = None;
-                        }
+            let inst = &mut self.instances[i];
+            inst.filter.process_sym(event, span);
+            if self.reporting {
+                inst.filter
+                    .drain_matches(0, &mut |m: Match| drained.push((m.ordinal, m.span)));
+            } else {
+                let p = inst.filter.match_progress();
+                if p != inst.progress {
+                    inst.progress = p;
+                    decided = inst.filter.decided();
+                    // The early-reject branch of `decided()` assumes
+                    // level-0 child-axis candidates are exhausted
+                    // after one element — true only for a document's
+                    // unique root. An element-rooted instance sees
+                    // every child of its activation element at level
+                    // 0, so for it only the (monotone) accept is
+                    // decisive.
+                    if decided == Some(false) && inst.root_level >= 0 {
+                        decided = None;
                     }
                 }
             }
-            // Fold the instance's growth into its group's live totals, so
-            // the group peaks charge simultaneously-live instances
-            // *together* — overlapping activations cost what one naive
-            // filter would holding all their candidates at once.
-            let grown = self.instances[i].filter.stats().max_bits;
-            let prev = self.instances[i].noted_bits;
-            if grown > prev {
-                self.instances[i].noted_bits = grown;
-                self.live_bits[g] += grown - prev;
-                self.peak_bits[g] = self.peak_bits[g].max(self.live_bits[g]);
-            }
-            let pending = self.instances[i].filter.peak_pending_positions();
-            let prev = self.instances[i].noted_pending;
-            if pending > prev {
-                self.instances[i].noted_pending = pending;
-                self.live_pending[g] += pending - prev;
-                self.peak_pending[g] = self.peak_pending[g].max(self.live_pending[g]);
-            }
-            if !drained.is_empty() {
-                let offset = self.instances[i].ordinal_offset;
-                for &(o, sp) in &drained {
-                    self.emit(g, o + offset, sp, sink);
-                }
-                drained.clear();
-            }
-            self.drain_scratch = drained;
-            if let Some(v) = decided {
-                if v {
-                    self.group_true[g] = true;
-                }
-                self.note_stats(i);
-                let inst = self.instances.swap_remove(i);
-                self.recycle(inst);
-                return true;
-            }
         }
-        false
+        // Fold the instance's growth into its group's live totals, so
+        // the group peaks charge simultaneously-live instances
+        // *together* — overlapping activations cost what one naive
+        // filter would holding all their candidates at once.
+        let grown = self.instances[i].filter.stats().max_bits;
+        let prev = self.instances[i].noted_bits;
+        if grown > prev {
+            self.instances[i].noted_bits = grown;
+            self.live_bits[g] += grown - prev;
+            self.peak_bits[g] = self.peak_bits[g].max(self.live_bits[g]);
+        }
+        let pending = self.instances[i].filter.peak_pending_positions();
+        let prev = self.instances[i].noted_pending;
+        if pending > prev {
+            self.instances[i].noted_pending = pending;
+            self.live_pending[g] += pending - prev;
+            self.peak_pending[g] = self.peak_pending[g].max(self.live_pending[g]);
+        }
+        if !drained.is_empty() {
+            let offset = self.instances[i].ordinal_offset;
+            for &(o, sp) in &drained {
+                self.emit(g, o + offset, sp, sink);
+            }
+            drained.clear();
+        }
+        self.drain_scratch = drained;
+        if decided == Some(true) {
+            self.accept(g);
+        }
+        decided.is_some()
     }
 
-    /// Sends `EndDocument` to instance `i`, harvests its verdict and any
-    /// final matches, records statistics, and removes it.
-    fn retire_instance(&mut self, i: usize, sink: &mut dyn MatchSink) {
+    /// Records instance `i`'s statistics and removes it, keeping the
+    /// root order.
+    fn remove_instance(&mut self, i: usize) {
+        self.note_stats(i);
+        let inst = self.instances.remove(i);
+        self.recycle(inst);
+    }
+
+    /// Sends `EndDocument` to the last instance, harvests its verdict
+    /// and any final matches, records statistics, and removes it.
+    fn retire_last(&mut self, sink: &mut dyn MatchSink) {
+        let i = self.instances.len() - 1;
         let g = self.instances[i].group as usize;
         let mut drained = std::mem::take(&mut self.drain_scratch);
         drained.clear();
@@ -2030,11 +2210,9 @@ impl IndexedBank {
         drained.clear();
         self.drain_scratch = drained;
         if verdict == Some(true) {
-            self.group_true[g] = true;
+            self.accept(g);
         }
-        self.note_stats(i);
-        let inst = self.instances.swap_remove(i);
-        self.recycle(inst);
+        self.remove_instance(i);
     }
 
     /// Returns a removed instance's filter to the per-residual pool for
@@ -2070,7 +2248,7 @@ impl IndexedBank {
     /// deduplicating ordinals for groups whose descendant-axis prefixes
     /// allow nested activations to confirm the same element twice.
     fn emit(&mut self, g: usize, ordinal: u64, span: Span, sink: &mut dyn MatchSink) {
-        self.group_true[g] = true;
+        self.accept(g);
         if !self.reporting {
             return;
         }

@@ -52,7 +52,6 @@ pub fn trace(q: &Query, events: &[Event]) -> Result<(Vec<TraceStep>, bool), Unsu
         f.process(e);
         let frontier = f
             .frontier()
-            .iter()
             .map(|r| Tuple {
                 level: r.level,
                 ntest: f.ntest_of(r.node),

@@ -794,7 +794,69 @@ impl Verdicts {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Backend, Engine, EngineError};
+    use crate::{Backend, Engine, EngineError, IndexPolicy, Verdicts};
+
+    /// Space statistics are per document: a session that already ran a
+    /// deep document reports the next one exactly as a fresh session
+    /// does — on every frontend, for one query and for both banks.
+    #[test]
+    fn reused_sessions_report_per_document_space() {
+        let xml = |depth: usize| format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let html = |depth: usize| {
+            format!(
+                "<html><body>{}<p>x</p>{}</body></html>",
+                "<div>".repeat(depth),
+                "</div>".repeat(depth)
+            )
+        };
+        let json = |depth: usize| {
+            format!(
+                "{{\"a\": {}{{\"b\": 1}}{}}}",
+                "{\"a\": ".repeat(depth),
+                "}".repeat(depth)
+            )
+        };
+        let ndjson = |depth: usize| format!("{}\n", json(depth));
+        type Doc<'a> = &'a dyn Fn(usize) -> String;
+        let frontends: [(&str, &[&str], Doc); 4] = [
+            ("xml", &["//a[b]", "//a/a", "/zz"], &xml),
+            ("html", &["//div[p]", "//div/div", "//zz"], &html),
+            ("json", &["//a[b]", "//a/a", "/zz"], &json),
+            ("ndjson", &["//a[b]", "//a/a", "/zz"], &ndjson),
+        ];
+        for (frontend, queries, doc) in frontends {
+            for (bank, n, index) in [
+                ("single", 1, IndexPolicy::None),
+                ("multi", 3, IndexPolicy::None),
+                ("indexed", 3, IndexPolicy::SharedPrefix),
+            ] {
+                let mut builder = Engine::builder().index(index);
+                for q in &queries[..n] {
+                    builder = builder.query_str(q);
+                }
+                let engine = builder.build().unwrap();
+                let run = |session: &mut super::Session, text: &str| -> Verdicts {
+                    let bytes = text.as_bytes();
+                    match frontend {
+                        "xml" => session.run_reader(bytes),
+                        "html" => session.run_source(&mut engine.html_source(), bytes),
+                        "json" => session.run_source(&mut engine.json_source(), bytes),
+                        _ => session.run_source(&mut engine.ndjson_source(), bytes),
+                    }
+                    .unwrap()
+                };
+                let mut reused = engine.session();
+                run(&mut reused, &doc(6));
+                let again = run(&mut reused, &doc(1));
+                let fresh = run(&mut engine.session(), &doc(1));
+                assert_eq!(
+                    again.peak_memory_bits(),
+                    fresh.peak_memory_bits(),
+                    "{frontend} on the {bank} bank"
+                );
+            }
+        }
+    }
 
     #[test]
     fn push_finish_lifecycle() {

@@ -82,6 +82,22 @@ fn start_tag_closes(incoming: &str, open: &str) -> bool {
     }
 }
 
+/// How far the scan of the pending token (at the cursor) got before the
+/// buffered input ran out; offsets are relative to the cursor, so
+/// compaction leaves them valid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resume {
+    /// Text or raw text: the search for the next `<` resumes here.
+    Scan(usize),
+    /// A tag at the cursor, scanned up to `at`, inside the attribute
+    /// quote `quote` (if any), directly after an `=` if `after_eq`.
+    Tag {
+        at: usize,
+        quote: Option<u8>,
+        after_eq: bool,
+    },
+}
+
 /// A resumable, never-failing push parser for HTML soup. See the crate
 /// docs for the exact recovery rules. Feed it string chunks; interned
 /// events come out the moment they are complete, with cumulative byte
@@ -107,6 +123,10 @@ pub struct HtmlParser {
     keep_whitespace: bool,
     /// `Some` while inside a raw-text element (`<script>`, `<title>`, …).
     raw: Option<RawKind>,
+    /// How far earlier feeds got through the pending token at `pos`:
+    /// the scan resumes there, so a token spanning many feeds is
+    /// scanned once.
+    resume: Resume,
     /// The folded name whose `</name` closes the current raw-text run.
     raw_closer: String,
     /// Reused copy of the tag being handled.
@@ -157,6 +177,7 @@ impl HtmlParser {
             consumed: 0,
             keep_whitespace: false,
             raw: None,
+            resume: Resume::Scan(0),
             raw_closer: String::new(),
             tag_scratch: String::new(),
             name_scratch: String::new(),
@@ -202,6 +223,7 @@ impl HtmlParser {
         self.finished = false;
         self.consumed = 0;
         self.raw = None;
+        self.resume = Resume::Scan(0);
         self.utf8_carry.clear();
     }
 
@@ -386,6 +408,14 @@ impl HtmlParser {
         self.pos = 0;
     }
 
+    /// Consumes `len` bytes of pending input; the next token's scan
+    /// starts afresh.
+    fn advance(&mut self, len: usize) {
+        self.pos += len;
+        self.consumed += len;
+        self.resume = Resume::Scan(0);
+    }
+
     fn drain<F: FnMut(SymEvent<'_>, Span) + ?Sized>(&mut self, at_eof: bool, emit: &mut F) {
         loop {
             if self.raw.is_some() {
@@ -395,28 +425,38 @@ impl HtmlParser {
                 continue;
             }
             // Text up to the next real tag opener. A `<` not followed
-            // by an ASCII letter, `!`, `/`, or `?` is literal text.
+            // by an ASCII letter, `!`, `/`, or `?` is literal text. A
+            // pending tag at the cursor skips the search.
             let b = self.pending().as_bytes();
-            let mut i = 0;
-            let tag_at = loop {
-                match scan::memchr(b'<', &b[i..]) {
-                    None => break None,
-                    Some(j) => {
-                        let at = i + j;
-                        match b.get(at + 1) {
-                            None if at_eof => break None, // trailing literal `<`
-                            // Undecidable `<` at the buffer end: keep the
-                            // whole text run buffered (never split it).
-                            None => return,
-                            Some(&c)
-                                if c.is_ascii_alphabetic() || matches!(c, b'!' | b'/' | b'?') =>
-                            {
-                                break Some(at)
+            let tag_at = match self.resume {
+                Resume::Tag { .. } => Some(0),
+                Resume::Scan(mut i) => loop {
+                    match scan::memchr(b'<', &b[i..]) {
+                        None => {
+                            self.resume = Resume::Scan(b.len());
+                            break None;
+                        }
+                        Some(j) => {
+                            let at = i + j;
+                            match b.get(at + 1) {
+                                None if at_eof => break None, // trailing literal `<`
+                                // Undecidable `<` at the buffer end: keep the
+                                // whole text run buffered (never split it).
+                                None => {
+                                    self.resume = Resume::Scan(at);
+                                    return;
+                                }
+                                Some(&c)
+                                    if c.is_ascii_alphabetic()
+                                        || matches!(c, b'!' | b'/' | b'?') =>
+                                {
+                                    break Some(at)
+                                }
+                                Some(_) => i = at + 1, // literal `<`
                             }
-                            Some(_) => i = at + 1, // literal `<`
                         }
                     }
-                }
+                },
             };
             match tag_at {
                 None => {
@@ -435,20 +475,22 @@ impl HtmlParser {
                 }
             }
             // A tag begins at the cursor.
-            let Some(tag_len) = self.tag_length() else {
-                if at_eof {
-                    // EOF inside a tag: HTML drops the partial token.
-                    let len = self.pending().len();
-                    self.pos += len;
-                    self.consumed += len;
+            let tag_len = match self.tag_length() {
+                Ok(len) => len,
+                Err(resume) => {
+                    if at_eof {
+                        // EOF inside a tag: HTML drops the partial token.
+                        self.advance(self.pending().len());
+                    } else {
+                        self.resume = resume;
+                    }
+                    return;
                 }
-                return;
             };
             let mut tag = std::mem::take(&mut self.tag_scratch);
             tag.clear();
             tag.push_str(&self.buf[self.pos..self.pos + tag_len]);
-            self.pos += tag_len;
-            self.consumed += tag_len;
+            self.advance(tag_len);
             let span = Span::new((self.consumed - tag_len) as u64, self.consumed as u64);
             self.handle_tag(&tag, span, emit);
             self.tag_scratch = tag;
@@ -471,8 +513,7 @@ impl HtmlParser {
         } else {
             self.text_scratch.push_str(raw);
         }
-        self.pos += len;
-        self.consumed += len;
+        self.advance(len);
         let span = Span::new((self.consumed - len) as u64, self.consumed as u64);
         if self.depth == 0 {
             return; // top-level text outside any element: dropped
@@ -487,27 +528,51 @@ impl HtmlParser {
         }
     }
 
-    /// Length of the complete tag at the cursor, or `None` while more
-    /// input could still complete it.
-    fn tag_length(&self) -> Option<usize> {
+    /// Length of the complete tag at the cursor, or — while more input
+    /// could still complete it — the state to resume the scan from.
+    fn tag_length(&self) -> Result<usize, Resume> {
         let b = self.pending();
         debug_assert!(b.starts_with('<'));
+        let (from, mut quote, mut after_eq) = match self.resume {
+            Resume::Tag {
+                at,
+                quote,
+                after_eq,
+            } => (at, quote, after_eq),
+            Resume::Scan(_) => (1, None, false),
+        };
+        let wait = |at: usize, quote, after_eq| Resume::Tag {
+            at,
+            quote,
+            after_eq,
+        };
         if b.len() < 4 && "<!--".starts_with(b) {
-            return None; // could still become a comment opener
+            return Err(wait(1, None, false)); // could still become a comment opener
         }
-        if let Some(rest) = b.strip_prefix("<!--") {
-            return rest.find("-->").map(|i| 4 + i + 3);
+        let bytes = b.as_bytes();
+        if b.starts_with("<!--") {
+            // The first `>` directly after `--`, past the opener.
+            let mut at = from.max(6);
+            while let Some(i) = scan::memchr(b'>', &bytes[at.min(bytes.len())..]) {
+                let gt = at + i;
+                if &bytes[gt - 2..gt] == b"--" {
+                    return Ok(gt + 1);
+                }
+                at = gt + 1;
+            }
+            return Err(wait(b.len(), None, false));
         }
         if b.starts_with("<!") || b.starts_with("<?") || b.starts_with("</") {
             // Doctype, bogus comment, or end tag: plain scan to `>`.
-            return b.find('>').map(|i| i + 1);
+            return match scan::memchr(b'>', &bytes[from..]) {
+                Some(i) => Ok(from + i + 1),
+                None => Err(wait(b.len(), None, false)),
+            };
         }
         // A start tag: `>` ends it, except inside a quoted attribute
         // value (a quote counts as opening one only right after `=`,
         // matching the HTML attribute-value states).
-        let mut quote: Option<u8> = None;
-        let mut after_eq = false;
-        for (i, c) in b.bytes().enumerate().skip(1) {
+        for (i, c) in b.bytes().enumerate().skip(from) {
             match quote {
                 Some(q) => {
                     if c == q {
@@ -515,7 +580,7 @@ impl HtmlParser {
                     }
                 }
                 None => match c {
-                    b'>' => return Some(i + 1),
+                    b'>' => return Ok(i + 1),
                     b'"' | b'\'' if after_eq => quote = Some(c),
                     b'=' => after_eq = true,
                     c if c.is_ascii_whitespace() => {}
@@ -523,7 +588,7 @@ impl HtmlParser {
                 },
             }
         }
-        None
+        Err(wait(b.len(), quote, after_eq))
     }
 
     fn handle_tag<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
@@ -669,7 +734,10 @@ impl HtmlParser {
         let b = self.pending().as_bytes();
         // The closer pattern: `<`, `/`, then the (folded) element name.
         let closer_len = 2 + self.raw_closer.len();
-        let mut i = 0;
+        let mut i = match self.resume {
+            Resume::Scan(i) => i,
+            Resume::Tag { .. } => unreachable!("raw text holds no pending tag"),
+        };
         let closer = loop {
             match scan::memchr(b'<', &b[i..]) {
                 None => break None,
@@ -701,6 +769,7 @@ impl HtmlParser {
                         if at_eof {
                             break None;
                         }
+                        self.resume = Resume::Scan(at);
                         return false;
                     }
                     // Full `</name` — the next byte decides.
@@ -724,6 +793,7 @@ impl HtmlParser {
                     self.raw = None;
                     return true;
                 }
+                self.resume = Resume::Scan(self.pending().len());
                 false
             }
             Some(at) => {
@@ -734,20 +804,18 @@ impl HtmlParser {
                         if at > 0 {
                             self.take_text(at, decode, emit);
                         }
-                        let rest = self.pending().len() - at;
-                        self.pos += rest;
-                        self.consumed += rest;
+                        self.advance(self.pending().len());
                         self.raw = None;
                         return true;
                     }
+                    self.resume = Resume::Scan(at);
                     return false;
                 };
                 if at > 0 {
                     self.take_text(at, decode, emit);
                 }
                 let tag_len = closer_len + gt + 1;
-                self.pos += tag_len;
-                self.consumed += tag_len;
+                self.advance(tag_len);
                 let span = Span::new((self.consumed - tag_len) as u64, self.consumed as u64);
                 let sym = self.stack[self.depth - 1].0;
                 self.depth -= 1;

@@ -56,6 +56,10 @@ pub struct JsonParser {
     /// The element name (and array-wrap flag) the next value opens;
     /// `None` only before the root value, which resolves `json`.
     pending: Option<(Sym, bool)>,
+    /// Bytes of the pending string or number token (at `pos`) already
+    /// scanned by earlier feeds: the scan resumes here, so a token
+    /// spanning many feeds is scanned once. Zero between tokens.
+    scanned: usize,
     started: bool,
     finished: bool,
     consumed: usize,
@@ -94,6 +98,7 @@ impl JsonParser {
             stack: Vec::new(),
             expect: Expect::Value,
             pending: None,
+            scanned: 0,
             started: false,
             finished: false,
             consumed: 0,
@@ -127,6 +132,7 @@ impl JsonParser {
         self.stack.clear();
         self.expect = Expect::Value;
         self.pending = None;
+        self.scanned = 0;
         self.started = false;
         self.finished = false;
         self.consumed = 0;
@@ -272,6 +278,7 @@ impl JsonParser {
     /// Consumes `n` bytes and returns their cumulative span.
     fn consume(&mut self, n: usize) -> Span {
         self.pos += n;
+        self.scanned = 0;
         self.consumed += n;
         Span::new((self.consumed - n) as u64, self.consumed as u64)
     }
@@ -395,11 +402,15 @@ impl JsonParser {
                         self.close_container(span, emit);
                     }
                     b'"' => {
-                        let Some(len) = string_token_len(b) else {
-                            if at_eof {
-                                return Err(self.err("unterminated string"));
+                        let len = match string_token_len(b, self.scanned) {
+                            Ok(len) => len,
+                            Err(scanned) => {
+                                if at_eof {
+                                    return Err(self.err("unterminated string"));
+                                }
+                                self.scanned = scanned;
+                                return Ok(());
                             }
-                            return Ok(());
                         };
                         self.text_scratch.clear();
                         decode_json_string(
@@ -412,8 +423,12 @@ impl JsonParser {
                         self.emit_scalar(name, span, emit);
                     }
                     b'-' | b'0'..=b'9' => {
-                        let Some(len) = number_token_len(b, at_eof) else {
-                            return Ok(());
+                        let len = match number_token_len(b, self.scanned, at_eof) {
+                            Ok(len) => len,
+                            Err(scanned) => {
+                                self.scanned = scanned;
+                                return Ok(());
+                            }
                         };
                         let (start, end) = (self.pos, self.pos + len);
                         let (name, _) = self.take_pending();
@@ -478,11 +493,15 @@ impl JsonParser {
                         self.close_container(span, emit);
                     }
                     b'"' => {
-                        let Some(len) = string_token_len(b) else {
-                            if at_eof {
-                                return Err(self.err("unterminated string"));
+                        let len = match string_token_len(b, self.scanned) {
+                            Ok(len) => len,
+                            Err(scanned) => {
+                                if at_eof {
+                                    return Err(self.err("unterminated string"));
+                                }
+                                self.scanned = scanned;
+                                return Ok(());
                             }
-                            return Ok(());
                         };
                         self.text_scratch.clear();
                         decode_json_string(
@@ -570,37 +589,39 @@ impl JsonParser {
 }
 
 /// Length of the complete string token (including both quotes) at the
-/// start of `b`, or `None` while the closing quote is still missing.
-fn string_token_len(b: &str) -> Option<usize> {
+/// start of `b`, scanning from byte `from` (bytes before it were scanned
+/// by an earlier call), or `Err(resume)` while the closing quote is
+/// still missing: the offset the next call resumes from.
+fn string_token_len(b: &str, from: usize) -> Result<usize, usize> {
     let bytes = b.as_bytes();
     debug_assert_eq!(bytes[0], b'"');
     // SWAR skip to the next `"` or `\`: ordinary string content (the
     // overwhelming majority of bytes) is crossed in word strides.
-    let mut i = 1;
+    let mut i = from.max(1);
     while i < bytes.len() {
         match scan::memchr2(b'"', b'\\', &bytes[i..]) {
-            None => return None,
-            Some(p) if bytes[i + p] == b'"' => return Some(i + p + 1),
+            None => return Err(bytes.len()),
+            Some(p) if bytes[i + p] == b'"' => return Ok(i + p + 1),
             // An escape: skip the backslash and the escaped byte (which
             // may still be missing at the buffer end -> keep waiting).
             Some(p) => i += p + 2,
         }
     }
-    None
+    Err(i)
 }
 
 /// Length of the number token at the start of `b` (by token shape, not
-/// full grammar), or `None` while it might continue into the next
-/// chunk.
-fn number_token_len(b: &str, at_eof: bool) -> Option<usize> {
-    let end = b
-        .bytes()
-        .position(|c| !matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        .unwrap_or(b.len());
+/// full grammar), scanning from byte `from`, or `Err(resume)` while it
+/// might continue into the next chunk.
+fn number_token_len(b: &str, from: usize, at_eof: bool) -> Result<usize, usize> {
+    let end = b.as_bytes()[from..]
+        .iter()
+        .position(|&c| !matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+        .map_or(b.len(), |p| from + p);
     if end == b.len() && !at_eof {
-        None
+        Err(end)
     } else {
-        Some(end)
+        Ok(end)
     }
 }
 

@@ -31,6 +31,64 @@ use crate::symbols::{AttrBuf, Sym, SymCache, SymEvent, Symbols, SymbolsSnapshot}
 use std::io::{BufRead, Read};
 use std::sync::Arc;
 
+/// Where the token walk stopped when the buffered input ran out. The
+/// pending token always starts at the cursor (`pos`) and every offset
+/// here is relative to it, so compaction leaves the state valid; with
+/// the scan watermark, a resumed drain picks up exactly where the last
+/// one stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// Text up to the next `<`; `amp` is the offset of the last `&`
+    /// passed, if any (entity hold-back).
+    Text { amp: Option<usize> },
+    /// A tag whose `<` is at the cursor.
+    Tag(TagWalk),
+}
+
+impl Walk {
+    /// A fresh token: nothing walked yet.
+    const TEXT: Walk = Walk::Text { amp: None };
+}
+
+/// The progress of the walk through one tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TagWalk {
+    /// Too few bytes yet to tell the markup kind (`<`, `<!-`, `<![CDA`).
+    Unclassified,
+    /// A start or end tag; `quote` is the open attribute-value quote.
+    Element { quote: Option<u8> },
+    /// A comment, CDATA section or PI: ends at the first `>` directly
+    /// preceded by `suffix`, at least `min` bytes past the `<`.
+    Markup { suffix: &'static [u8], min: usize },
+    /// A DOCTYPE: `at` bytes scanned so far, inside `depth` brackets.
+    Doctype { at: usize, depth: usize },
+}
+
+impl TagWalk {
+    /// The walk for the tag `b` starts (`b[0] == b'<'`, running to the
+    /// end of the buffered input), or `None` while `b` is still a proper
+    /// prefix of a longer opener.
+    fn classify(b: &[u8]) -> Option<TagWalk> {
+        match b.get(1)? {
+            b'?' => Some(TagWalk::Markup {
+                suffix: b"?",
+                min: 3,
+            }),
+            b'!' if b.starts_with(b"<!--") => Some(TagWalk::Markup {
+                suffix: b"--",
+                min: 6,
+            }),
+            b'!' if b.starts_with(b"<![CDATA[") => Some(TagWalk::Markup {
+                suffix: b"]]",
+                min: 11,
+            }),
+            b'!' if b"<!--".starts_with(b) || b"<![CDATA[".starts_with(b) => None,
+            b'!' => Some(TagWalk::Doctype { at: 2, depth: 0 }),
+            _ => Some(TagWalk::Element { quote: None }),
+        }
+    }
+}
+
 /// A resumable push parser. Feed it string chunks; it emits events through
 /// a callback and buffers only the current incomplete token.
 #[derive(Debug, Clone)]
@@ -82,8 +140,14 @@ pub struct StreamingParser {
     /// Reused attribute slots; `StartElement` events borrow them.
     attrs: AttrBuf,
     /// Reused structural index: positions of `<` `>` `"` `'` `&` in the
-    /// unconsumed buffer, rebuilt by one SWAR pass per drain.
+    /// bytes a drain has not seen before (one SWAR pass per drain).
     struct_idx: Vec<u32>,
+    /// Bytes of the unconsumed input (counted from `pos`) that earlier
+    /// drains already indexed and walked: the scan watermark. A token
+    /// spanning many feeds is scanned once, not once per feed.
+    scanned: usize,
+    /// Where the token walk stopped when the buffered input ran out.
+    walk: Walk,
     /// Reused read buffer for [`StreamingParser::drive_reader`].
     io_chunk: Vec<u8>,
     /// Reused event batch for [`StreamingParser::drive_batched`]:
@@ -128,6 +192,8 @@ impl StreamingParser {
             text_scratch: String::new(),
             attrs: AttrBuf::new(),
             struct_idx: Vec::new(),
+            scanned: 0,
+            walk: Walk::TEXT,
             io_chunk: Vec::new(),
             ev_batch: EventBatch::new(),
         }
@@ -141,6 +207,8 @@ impl StreamingParser {
     pub fn reset(&mut self) {
         self.buf.clear();
         self.pos = 0;
+        self.scanned = 0;
+        self.walk = Walk::TEXT;
         self.depth = 0;
         self.name_arena.clear();
         self.started = false;
@@ -516,28 +584,38 @@ impl StreamingParser {
 
     /// [`StreamingParser::drain`] over any input slice (the internal
     /// buffer, or — the zero-copy fast path — the caller's own chunk).
-    /// One SWAR pass builds the structural index; the token loop then
-    /// walks delimiter *positions* instead of re-scanning bytes.
+    /// One SWAR pass indexes the bytes past the scan watermark; the
+    /// token walk then resumes where the last drain stopped and walks
+    /// delimiter *positions* instead of re-scanning bytes.
     fn drain_slice<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
         &mut self,
         buf: &str,
         at_eof: bool,
         emit: &mut F,
     ) -> Result<(), ParseError> {
+        self.check_indexable(buf.len())?;
+        let from = self.pos + self.scanned;
         let mut idx = std::mem::take(&mut self.struct_idx);
         idx.clear();
-        assert!(
-            buf.len() <= u32::MAX as usize,
-            "single buffered token exceeds 4 GiB"
-        );
         // Pre-size to the worst typical density (~1 delimiter per 4
         // bytes) so a cold index reaches capacity in one reallocation
         // instead of a doubling cascade.
-        idx.reserve((buf.len() - self.pos) / 4);
-        scan::positions_xml(buf.as_bytes(), self.pos, &mut idx);
+        idx.reserve((buf.len() - from) / 4);
+        scan::positions_xml(buf.as_bytes(), from, &mut idx);
         let result = self.drain_buf(buf, &idx, at_eof, emit);
+        self.scanned = buf.len() - self.pos;
         self.struct_idx = idx;
         result
+    }
+
+    /// Structural positions are `u32`s, so the buffered input — at most
+    /// one chunk plus one pending token — must stay under 4 GiB: a
+    /// longer single token is a typed error, not a panic.
+    fn check_indexable(&self, len: usize) -> Result<(), ParseError> {
+        if len > u32::MAX as usize {
+            return Err(self.err("single buffered token exceeds 4 GiB"));
+        }
+        Ok(())
     }
 
     fn drain_buf<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
@@ -550,51 +628,70 @@ impl StreamingParser {
         let bytes = buf.as_bytes();
         let mut k = 0usize; // cursor into the structural index
         loop {
-            // Walk the index to the next `<` at or after the cursor,
-            // noting the last `&` passed on the way (text entities).
-            let mut last_amp = usize::MAX;
-            let mut lt = None;
-            while k < idx.len() {
-                let p = idx[k] as usize;
-                if p >= self.pos {
-                    match bytes[p] {
-                        b'<' => {
-                            lt = Some(p);
-                            break;
+            let tag = match self.walk {
+                Walk::Tag(tag) => tag,
+                Walk::Text { amp } => {
+                    // Walk the index to the next `<` at or after the
+                    // cursor, noting the last `&` passed on the way
+                    // (text entities).
+                    let mut last_amp = amp.map_or(usize::MAX, |a| self.pos + a);
+                    let mut lt = None;
+                    while k < idx.len() {
+                        let p = idx[k] as usize;
+                        if p >= self.pos {
+                            match bytes[p] {
+                                b'<' => {
+                                    lt = Some(p);
+                                    break;
+                                }
+                                b'&' => last_amp = p,
+                                _ => {} // `>` and quotes are plain text here
+                            }
                         }
-                        b'&' => last_amp = p,
-                        _ => {} // `>` and quotes are plain text here
+                        k += 1;
                     }
-                }
-                k += 1;
-            }
-            match lt {
-                Some(p) if p == self.pos => {}
-                Some(p) => {
-                    self.take_text(buf, p - self.pos, last_amp, emit)?;
-                    if self.pos < p {
-                        // The text directly before the tag ends in a
-                        // held-back entity fragment ("&am…" with no
-                        // `;`); a tag can never complete it.
-                        return Err(self.err("unterminated entity reference before tag"));
+                    match lt {
+                        Some(p) if p == self.pos => {}
+                        Some(p) => {
+                            self.take_text(buf, p - self.pos, last_amp, emit)?;
+                            if self.pos < p {
+                                // The text directly before the tag ends in a
+                                // held-back entity fragment ("&am…" with no
+                                // `;`); a tag can never complete it.
+                                return Err(self.err("unterminated entity reference before tag"));
+                            }
+                            self.walk = Walk::TEXT;
+                            continue;
+                        }
+                        None => {
+                            let len = buf.len() - self.pos;
+                            if at_eof && len > 0 {
+                                self.take_text(buf, len, last_amp, emit)?;
+                            }
+                            // The text run continues in the next feed.
+                            let amp = (last_amp != usize::MAX && last_amp >= self.pos)
+                                .then(|| last_amp - self.pos);
+                            self.walk = Walk::Text { amp };
+                            return Ok(());
+                        }
                     }
-                    continue;
+                    k += 1; // past the `<`
+                    TagWalk::Unclassified
                 }
-                None => {
-                    let len = buf.len() - self.pos;
-                    if at_eof && len > 0 {
-                        self.take_text(buf, len, last_amp, emit)?;
-                    }
-                    return Ok(());
-                }
-            }
+            };
             // A tag begins at the cursor; find its end, respecting the
             // multi-character terminators of comments/CDATA/PIs and
             // quoted attribute values (which may contain `>`).
-            let Some((tag_len, k_next)) = self.tag_region(bytes, idx, k)? else {
-                return Ok(()); // incomplete: wait for more input
+            let (tag_len, k_next) = match self.tag_region(bytes, idx, k, tag)? {
+                Ok(end) => end,
+                Err(tag) => {
+                    // Incomplete: wait for more input, keeping the walk.
+                    self.walk = Walk::Tag(tag);
+                    return Ok(());
+                }
             };
             k = k_next;
+            self.walk = Walk::TEXT;
             let tag = &buf[self.pos..self.pos + tag_len];
             self.pos += tag_len;
             self.consumed += tag_len;
@@ -650,84 +747,79 @@ impl StreamingParser {
         Ok(())
     }
 
-    /// Extent of the complete tag whose `<` sits at `idx[k]` (== the
-    /// cursor): `(byte length, index entry just past the tag)`, or
-    /// `None` if more input is needed. Pure index walk — no byte
-    /// re-scanning except the short prefix dispatch and the rare
-    /// DOCTYPE form.
+    /// Continues the walk of the tag whose `<` sits at the cursor from
+    /// index entry `j` in state `tag`: `Ok((byte length, index entry
+    /// just past the tag))`, or `Err(state)` when more input is needed.
+    /// Pure index walk — no byte re-scanning except the short prefix
+    /// dispatch and the rare DOCTYPE form.
     fn tag_region(
         &self,
         bytes: &[u8],
         idx: &[u32],
-        k: usize,
-    ) -> Result<Option<(usize, usize)>, ParseError> {
-        let lt = idx[k] as usize;
+        mut j: usize,
+        tag: TagWalk,
+    ) -> Result<Result<(usize, usize), TagWalk>, ParseError> {
+        let lt = self.pos;
         debug_assert_eq!(bytes[lt], b'<');
         let b = &bytes[lt..];
-        if matches!(b.get(1), Some(b'!') | Some(b'?')) {
-            // Comment / CDATA / PI: a `>` directly preceded by the
-            // construct's suffix ends it, quotes notwithstanding.
-            let (from, suffix): (usize, &[u8]) = if b.starts_with(b"<!--") {
-                (4, b"--")
-            } else if b.starts_with(b"<![CDATA[") {
-                (9, b"]]")
-            } else if b.starts_with(b"<?") {
-                (2, b"?")
-            } else {
+        let tag = match tag {
+            TagWalk::Unclassified => match TagWalk::classify(b) {
+                Some(tag) => tag,
+                None => return Ok(Err(TagWalk::Unclassified)),
+            },
+            tag => tag,
+        };
+        match tag {
+            TagWalk::Unclassified => unreachable!("classified above"),
+            TagWalk::Doctype { at, mut depth } => {
                 // DOCTYPE with optional internal subset: bracket-aware
                 // byte scan (rare; brackets are not indexed).
-                let mut depth = 0usize;
-                for (i, &c) in b.iter().enumerate().skip(2) {
+                for (i, &c) in b.iter().enumerate().skip(at) {
                     match c {
                         b'[' => depth += 1,
                         b']' => depth = depth.saturating_sub(1),
                         b'>' if depth == 0 => {
                             let end = lt + i + 1;
-                            let mut j = k + 1;
                             while j < idx.len() && (idx[j] as usize) < end {
                                 j += 1;
                             }
-                            return Ok(Some((i + 1, j)));
+                            return Ok(Ok((i + 1, j)));
                         }
                         _ => {}
                     }
                 }
-                return Ok(None);
-            };
-            let min = lt + from + suffix.len();
-            let mut j = k + 1;
-            while j < idx.len() {
-                let p = idx[j] as usize;
-                if bytes[p] == b'>' && p >= min && &bytes[p - suffix.len()..p] == suffix {
-                    return Ok(Some((p + 1 - lt, j + 1)));
-                }
-                j += 1;
+                Ok(Err(TagWalk::Doctype { at: b.len(), depth }))
             }
-            return Ok(None);
-        }
-        // A start or end tag: walk delimiter positions, skipping quoted
-        // attribute values (which may contain `>` or `<`).
-        let mut j = k + 1;
-        while j < idx.len() {
-            let p = idx[j] as usize;
-            match bytes[p] {
-                b'>' => return Ok(Some((p + 1 - lt, j + 1))),
-                b'<' => return Err(self.err("`<` inside a tag")),
-                b'"' | b'\'' => {
-                    let quote = bytes[p];
-                    j += 1;
-                    while j < idx.len() && bytes[idx[j] as usize] != quote {
-                        j += 1;
-                    }
-                    if j >= idx.len() {
-                        return Ok(None); // unclosed quote: wait
+            TagWalk::Markup { suffix, min } => {
+                // Comment / CDATA / PI: a `>` directly preceded by the
+                // construct's suffix ends it, quotes notwithstanding.
+                while j < idx.len() {
+                    let p = idx[j] as usize;
+                    if bytes[p] == b'>' && p >= lt + min && &bytes[p - suffix.len()..p] == suffix {
+                        return Ok(Ok((p + 1 - lt, j + 1)));
                     }
                     j += 1;
                 }
-                _ => j += 1, // `&` inside a tag: nothing structural
+                Ok(Err(tag))
+            }
+            TagWalk::Element { mut quote } => {
+                // A start or end tag: walk delimiter positions, skipping
+                // quoted attribute values (which may contain `>` or `<`).
+                while j < idx.len() {
+                    let p = idx[j] as usize;
+                    match (quote, bytes[p]) {
+                        (Some(q), c) if c == q => quote = None,
+                        (Some(_), _) => {}
+                        (None, b'>') => return Ok(Ok((p + 1 - lt, j + 1))),
+                        (None, b'<') => return Err(self.err("`<` inside a tag")),
+                        (None, c @ (b'"' | b'\'')) => quote = Some(c),
+                        (None, _) => {} // `&` inside a tag: nothing structural
+                    }
+                    j += 1;
+                }
+                Ok(Err(TagWalk::Element { quote }))
             }
         }
-        Ok(None)
     }
 
     fn handle_tag<F: FnMut(SymEvent<'_>, Span) + ?Sized>(
@@ -1220,6 +1312,25 @@ mod tests {
         for chunk in 1..=9usize {
             assert_eq!(spanned_events(xml, chunk), reference, "chunk size {chunk}");
         }
+    }
+
+    #[test]
+    fn tokens_past_the_index_range_are_a_typed_error() {
+        let p = StreamingParser::new();
+        assert!(p.check_indexable(u32::MAX as usize).is_ok());
+        let err = p.check_indexable(u32::MAX as usize + 1).unwrap_err();
+        assert!(err.message.contains("4 GiB"), "{err}");
+    }
+
+    #[test]
+    fn long_tokens_resume_across_feeds() {
+        // Every token kind left pending over many feeds: the walk resumes
+        // from its saved state, and the events equal the one-shot parse.
+        let text = "t&amp;x>'\"".repeat(300);
+        let attr = "v&amp;>'".repeat(300);
+        let xml =
+            format!("<r a=\"{attr}\"><!--{text}--><![CDATA[{text}]]><?pi {text}?><x/>{text}</r>");
+        chunked_equals_batch(&xml);
     }
 
     #[test]

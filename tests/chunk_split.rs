@@ -205,6 +205,78 @@ fn invalid_utf8_errors_not_panics() {
     assert!(json.feed_interned_bytes(b"\"\x80\"", &mut emit).is_err());
 }
 
+/// The read size of the engine's byte drivers.
+const READ: usize = 8 * 1024;
+
+/// Tokens far longer than one read: the tokenizers resume their scans
+/// across feeds, so each long token is cut at every 8 KiB boundary,
+/// shifted by every offset of a 16-byte window around it, and must
+/// reproduce the whole-buffer stream.
+fn assert_long_tokens_split_transparent(doc: &str, stream: fn(&[u8], &[usize]) -> Recorded) {
+    let bytes = doc.as_bytes();
+    assert!(bytes.len() > 3 * READ, "fixture spans several reads");
+    let whole = stream(bytes, &[]);
+    for shift in 0..16 {
+        let cuts: Vec<usize> = (1..=bytes.len() / READ)
+            .map(|k| k * READ + shift - 8)
+            .filter(|&c| c < bytes.len())
+            .collect();
+        assert_eq!(
+            stream(bytes, &cuts),
+            whole,
+            "cuts at 8 KiB boundaries {:+} changed the stream",
+            shift as i64 - 8
+        );
+    }
+}
+
+/// `unit` repeated to just over `len` bytes.
+fn long(unit: &str, len: usize) -> String {
+    unit.repeat(len / unit.len() + 1)
+}
+
+#[test]
+fn xml_long_tokens_split_transparent() {
+    let n = 4 * READ;
+    for doc in [
+        // A quoted attribute value holding `>` (and the other quote).
+        format!("<r a=\"{}\"><c/></r>", long("v>w'x\u{e9}", n)),
+        format!("<r a='{}'/>", long("v>\"w", n)),
+        // Comment, CDATA section and processing instruction.
+        format!("<r><!--{}--><c/></r>", long("c>-d<e\u{2022}", n)),
+        format!("<r><![CDATA[{}]]><c/></r>", long("d]>e<&f", n)),
+        format!("<r><?pi {}?><c/></r>", long("p>q?r", n)),
+        // Entities everywhere in a long text run: some reference
+        // straddles every cut.
+        format!("<r>{}</r>", long("xy&amp;z&#x41;\u{e9}&lt;", n)),
+    ] {
+        assert_long_tokens_split_transparent(&doc, xml_stream);
+    }
+}
+
+#[test]
+fn json_long_string_with_escapes_split_transparent() {
+    let s = long("ab\\\"c\\u0041\\\\d\\n\u{e9}", 4 * READ);
+    let doc = format!("{{\"s\": \"{s}\", \"n\": [-12.5e3, \"{s}\"]}}");
+    assert_long_tokens_split_transparent(&doc, json_stream);
+}
+
+#[test]
+fn html_long_tokens_split_transparent() {
+    let n = 4 * READ;
+    for doc in [
+        format!(
+            "<div title=\"{}\"><p>x</p></div>",
+            long("v>w'x&amp;\u{e9}", n)
+        ),
+        format!("<div><p>{}</p></div>", long("t<1 &lt;u\u{2022}", n)),
+        format!("<div><!--{}--><p>x</p></div>", long("c>-d", n)),
+        format!("<div><script>{}</script><p>x</p></div>", long("a</b <", n)),
+    ] {
+        assert_long_tokens_split_transparent(&doc, html_stream);
+    }
+}
+
 fn proptest_cases() -> u32 {
     std::env::var("FX_PROPTEST_CASES")
         .ok()
