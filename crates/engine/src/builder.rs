@@ -3,7 +3,7 @@
 use crate::error::EngineError;
 use crate::session::{Outcome, Session, SessionInner, Verdicts};
 use fx_core::{CompiledQuery, IndexedBank, StreamFilter};
-use fx_xml::{Event, Symbols};
+use fx_xml::{AttrBuf, Event, Symbols};
 use fx_xpath::{parse_query, Query};
 use std::io::Read;
 use std::sync::Arc;
@@ -355,72 +355,55 @@ impl Engine {
                 Arc::clone(&self.symbols),
             );
         }
-        // Selection sessions always run on a reporting bank (even with a
-        // single query): the bank stamps every confirmed match with its
-        // query index and routes it to the caller's sink. Spawning
-        // shares the engine's compiled queries by reference — no clone.
-        if self.mode == Mode::Select {
-            let bank =
-                fx_core::MultiFilter::from_shared_reporting(self.compiled.iter().map(Arc::clone))
-                    .expect("reporting support validated at build()");
-            return Session::new(
-                SessionInner::Bank(bank),
-                self.mode,
-                Arc::clone(&self.symbols),
-            );
-        }
-        // A multi-query Frontier session runs on the short-circuiting
-        // bank; a single-query one keeps the bare filter so its space
-        // statistics stay bit-for-bit identical to a legacy run. Either
-        // way the compiled queries are pooled behind `Arc` — spawning a
-        // session never recompiles or deep-clones them.
-        if self.backend == Backend::Frontier && self.compiled.len() > 1 {
-            return Session::new(
-                SessionInner::Bank(fx_core::MultiFilter::from_shared(
-                    self.compiled.iter().map(Arc::clone),
-                )),
-                self.mode,
-                Arc::clone(&self.symbols),
-            );
-        }
-        let evaluators: Vec<Box<dyn crate::Evaluator>> = match self.backend {
-            Backend::Frontier => self
-                .compiled
-                .iter()
-                .map(|c| {
-                    Box::new(StreamFilter::from_shared(Arc::clone(c))) as Box<dyn crate::Evaluator>
-                })
-                .collect(),
-            Backend::Nfa => self
-                .queries
-                .iter()
-                .map(|q| {
-                    Box::new(fx_automata::NfaFilter::new(q).expect("validated linear at build()"))
-                        as Box<dyn crate::Evaluator>
-                })
-                .collect(),
-            Backend::LazyDfa => self
-                .queries
-                .iter()
-                .map(|q| {
-                    Box::new(
-                        fx_automata::LazyDfaFilter::new(q).expect("validated linear at build()"),
-                    ) as Box<dyn crate::Evaluator>
-                })
-                .collect(),
-            Backend::Buffering => self
-                .queries
-                .iter()
-                .map(|q| {
-                    Box::new(fx_automata::BufferingFilter::new(q)) as Box<dyn crate::Evaluator>
-                })
-                .collect(),
+        // The automata and buffering baselines: one owned-event
+        // evaluator per query.
+        let each = |make: &dyn Fn(&Query) -> Box<dyn crate::Evaluator>| {
+            SessionInner::Each(self.queries.iter().map(make).collect())
         };
-        Session::new(
-            SessionInner::Each(evaluators),
-            self.mode,
-            Arc::clone(&self.symbols),
-        )
+        let inner = match self.backend {
+            Backend::Frontier => self.frontier_inner(),
+            Backend::Nfa => each(&|q| {
+                Box::new(fx_automata::NfaFilter::new(q).expect("validated linear at build()"))
+            }),
+            Backend::LazyDfa => each(&|q| {
+                Box::new(fx_automata::LazyDfaFilter::new(q).expect("validated linear at build()"))
+            }),
+            Backend::Buffering => each(&|q| Box::new(fx_automata::BufferingFilter::new(q))),
+        };
+        Session::new(inner, self.mode, Arc::clone(&self.symbols))
+    }
+
+    /// The evaluation state of a `Frontier` session without an index.
+    /// The compiled queries are pooled behind `Arc`, so spawning never
+    /// recompiles or deep-clones them. One query runs as the bare filter
+    /// (reporting on [`Mode::Select`]): it sees every event, so its space
+    /// statistics are bit-for-bit those of a standalone
+    /// [`StreamFilter`]. Several queries run on the frontier bank — a
+    /// reporting one on [`Mode::Select`], which stamps every confirmed
+    /// match with its query index, and the short-circuiting one
+    /// otherwise.
+    fn frontier_inner(&self) -> SessionInner {
+        let select = self.mode == Mode::Select;
+        if let [query] = &self.compiled[..] {
+            let query = Arc::clone(query);
+            let filter = if select {
+                StreamFilter::from_shared_reporting(query)
+                    .expect("reporting support validated at build()")
+            } else {
+                StreamFilter::from_shared(query)
+            };
+            return SessionInner::Single {
+                filter: Box::new(filter),
+                scratch: AttrBuf::new(),
+            };
+        }
+        let compiled = self.compiled.iter().map(Arc::clone);
+        SessionInner::Bank(if select {
+            fx_core::MultiFilter::from_shared_reporting(compiled)
+                .expect("reporting support validated at build()")
+        } else {
+            fx_core::MultiFilter::from_shared(compiled)
+        })
     }
 
     /// One-shot convenience: stream a document from a reader through a
@@ -431,8 +414,8 @@ impl Engine {
     }
 
     /// One-shot convenience over an in-memory XML string. The string is
-    /// still *streamed* (via [`fx_xml::EventIter`] over its bytes), not
-    /// materialized into events.
+    /// still *streamed* through the session's reader path (see
+    /// [`Session::run_reader`]), not materialized into events.
     pub fn run_str(&self, xml: &str) -> Result<Verdicts, EngineError> {
         self.run_reader(xml.as_bytes())
     }

@@ -10,8 +10,10 @@
 //! `O(FS(Q)·log d)` bits — so the engine's surface never requires a
 //! materialized `Vec<Event>`. Documents arrive either event-by-event
 //! through [`Session::push`] or straight from any [`std::io::Read`]
-//! through [`Session::run_reader`], which drives the pull-based
-//! [`fx_xml::EventIter`] so memory stays bounded by the read buffer plus
+//! through [`Session::run_reader`], which streams the bytes through the
+//! tokenizer straight into the filters (interned events on the
+//! `Frontier` backend, the pull-based [`fx_xml::EventIter`] for the
+//! automata baselines) so memory stays bounded by the read buffer plus
 //! the filter state regardless of document size.
 //!
 //! ## Quick start

@@ -4,10 +4,10 @@
 use crate::builder::Mode;
 use crate::error::EngineError;
 use crate::evaluator::Evaluator;
-use fx_core::{IndexedBank, Match, MatchSink};
+use fx_core::{IndexedBank, Match, MatchSink, StreamFilter};
 use fx_xml::{
-    Attribute, Event, EventBatch, EventIter, EventSource, Span, StreamingParser, Sym, SymEvent,
-    Symbols,
+    AttrBuf, Attribute, Event, EventBatch, EventIter, EventSource, Span, StreamingParser, Sym,
+    SymEvent, Symbols,
 };
 use std::io::Read;
 use std::sync::Arc;
@@ -16,8 +16,10 @@ use std::sync::Arc;
 ///
 /// A session is fed incrementally — [`Session::push`] one event at a
 /// time, or [`Session::run_reader`] to drive a whole document from any
-/// byte source through the pull-based [`EventIter`] without ever
-/// materializing it. After `EndDocument` (or `finish()`), the same
+/// byte source without ever materializing it. `Frontier` sessions parse
+/// with the engine's symbol table and take interned events straight
+/// from the tokenizer; the automata and buffering baselines pull owned
+/// events through [`EventIter`]. After `EndDocument` (or `finish()`), the same
 /// session can be reused for the next document: the next
 /// `StartDocument` resets every filter's per-document state while
 /// keeping amortizable state (such as the lazy DFA's memoized
@@ -34,17 +36,19 @@ use std::sync::Arc;
 /// verdict is already decided (accepted — or rejected at the root tag,
 /// the dominant dissemination case) stop seeing events. Verdicts are
 /// unaffected; a decided filter's peak-bit statistic simply freezes at
-/// its decision point. Single-query filtering sessions feed the filter
-/// every event, so their statistics are bit-for-bit identical to a
-/// bare [`fx_core::StreamFilter`] run. Selection sessions never
-/// short-circuit — full evaluation must examine every candidate.
+/// its decision point. Single-query `Frontier` sessions hold a bare
+/// [`StreamFilter`] (reporting on [`Mode::Select`]) that sees every
+/// event, so their statistics are bit-for-bit identical to a bare
+/// filter run. Selection sessions never short-circuit — full
+/// evaluation must examine every candidate.
 pub struct Session {
     inner: SessionInner,
     events: u64,
     mode: Mode,
     /// The engine's symbol table: the reader entry points parse with it
-    /// so events reach the banks pre-interned (zero per-event name
-    /// lookups, zero per-event allocation on the tag-dispatch path).
+    /// so events reach every `Frontier` session — one filter or a bank —
+    /// pre-interned (zero per-event name lookups, zero per-event
+    /// allocation on the tag-dispatch path).
     symbols: Arc<Symbols>,
     /// The session's reusable lookup-only parser for the interned
     /// reader path: reset per document, its scratch buffers, name memo
@@ -56,9 +60,15 @@ pub struct Session {
 }
 
 pub(crate) enum SessionInner {
-    /// One evaluator per query (single-query banks and the automata and
-    /// buffering backends).
+    /// One evaluator per query: the automata and buffering baselines.
     Each(Vec<Box<dyn Evaluator>>),
+    /// A one-query `Frontier` session: the bare filter (reporting on
+    /// [`Mode::Select`]), fed every event, plus the attribute scratch
+    /// its batch replay borrows.
+    Single {
+        filter: Box<StreamFilter>,
+        scratch: AttrBuf,
+    },
     /// The (optionally reporting) frontier bank.
     Bank(fx_core::MultiFilter),
     /// The shared-prefix indexed bank
@@ -76,16 +86,20 @@ impl SessionInner {
                     ev.process(event);
                 }
             }
+            SessionInner::Single { filter, .. } => {
+                filter.process_spanned(event, span);
+                filter.drain_matches(0, sink);
+            }
             SessionInner::Bank(bank) => bank.process_to(event, span, sink),
             SessionInner::Indexed(bank) => bank.process_to(event, span, sink),
         }
     }
 
-    /// Whether this session can consume interned events natively (the
-    /// frontier banks); `Each` evaluators (automata baselines, bare
-    /// single filters) keep the owned-event surface.
+    /// Whether this session can consume interned events natively (every
+    /// `Frontier` session); `Each` evaluators (the automata and
+    /// buffering baselines) keep the owned-event surface.
     fn supports_interned(&self) -> bool {
-        matches!(self, SessionInner::Bank(_) | SessionInner::Indexed(_))
+        !matches!(self, SessionInner::Each(_))
     }
 
     /// Whole-batch dispatch: one virtual call hands a run of events to
@@ -94,6 +108,9 @@ impl SessionInner {
     /// batch once every filter is decided).
     fn push_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
         match self {
+            SessionInner::Single { filter, scratch } => {
+                filter.process_batch_to(batch, scratch, 0, sink)
+            }
             SessionInner::Bank(bank) => bank.process_batch_to(batch, sink),
             SessionInner::Indexed(bank) => bank.process_batch_to(batch, sink),
             SessionInner::Each(_) => unreachable!("interned path gated by supports_interned"),
@@ -196,6 +213,7 @@ impl Session {
     pub fn len(&self) -> usize {
         match &self.inner {
             SessionInner::Each(evs) => evs.len(),
+            SessionInner::Single { .. } => 1,
             SessionInner::Bank(bank) => bank.len(),
             SessionInner::Indexed(bank) => bank.len(),
         }
@@ -286,6 +304,11 @@ impl Session {
                 let peak_pending = vec![0; evs.len()];
                 (matched, peak_bits, peak_pending)
             }
+            SessionInner::Single { filter, .. } => (
+                vec![filter.result().ok_or(EngineError::IncompleteDocument)?],
+                vec![filter.stats().max_bits],
+                vec![filter.peak_pending_positions()],
+            ),
             SessionInner::Bank(bank) => {
                 let mut matched = Vec::with_capacity(bank.len());
                 for r in bank.results() {
@@ -503,10 +526,11 @@ impl Session {
     /// bank walks each run in one call
     /// ([`fx_core::MultiFilter::process_batch_to`] /
     /// [`fx_core::IndexedBank::process_batch_to`]), so the callback
-    /// boundary is paid once per batch instead of once per event. The
-    /// single-filter bank skips the batch buffer entirely: its filter is
+    /// boundary is paid once per batch instead of once per event. A
+    /// one-query session skips the batch buffer entirely: its filter is
     /// fused into the tokenizer's monomorphized emit chain, with no
-    /// dynamic call anywhere on the per-event path.
+    /// dynamic call anywhere on the per-event path, and a reporting
+    /// filter hands its matches to the sink after every event.
     fn drive_interned<R: Read>(
         &mut self,
         reader: R,
@@ -527,10 +551,11 @@ impl Session {
         self.collected.clear();
         let Session { inner, events, .. } = self;
         let result = match inner {
-            SessionInner::Bank(bank) if bank.len() == 1 => parser
+            SessionInner::Single { filter, .. } => parser
                 .drive_reader(reader, &mut |ev, span| {
                     *events += 1;
-                    bank.process_sym_to(ev, span, sink);
+                    filter.process_sym(ev, span);
+                    filter.drain_matches(0, sink);
                 })
                 .map_err(EngineError::from),
             _ => parser

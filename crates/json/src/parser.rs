@@ -635,14 +635,18 @@ fn hex4(chars: &mut std::str::Chars<'_>) -> Result<u32, String> {
     Ok(v)
 }
 
-/// Decodes the escapes of a string token's interior into `out`.
+/// Decodes the escapes of a string token's interior into `out`. Each
+/// escape-free run up to the next `\` is copied in one piece (a `\` is
+/// ASCII, so every run ends on a char boundary).
 fn decode_json_string(inner: &str, out: &mut String) -> Result<(), String> {
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
+    let mut at = 0;
+    loop {
+        let run_end = scan::memchr(b'\\', &inner.as_bytes()[at..]).map_or(inner.len(), |p| at + p);
+        out.push_str(&inner[at..run_end]);
+        if run_end == inner.len() {
+            return Ok(());
         }
+        let mut chars = inner[run_end + 1..].chars();
         match chars.next() {
             Some('"') => out.push('"'),
             Some('\\') => out.push('\\'),
@@ -673,8 +677,8 @@ fn decode_json_string(inner: &str, out: &mut String) -> Result<(), String> {
             }
             _ => return Err("invalid escape sequence".to_string()),
         }
+        at = inner.len() - chars.as_str().len();
     }
-    Ok(())
 }
 
 impl EventSource for JsonParser {
@@ -771,6 +775,55 @@ mod tests {
             let decoded = "a\nb\t\"q\" \\ A \u{1f600}";
             format!("<json><s>{}</s></json>", fx_xml::escape_text(decoded))
         });
+    }
+
+    /// The run-copying decoder around escapes in every position: at a
+    /// run's start and end, between multibyte characters, back to back —
+    /// and each malformed escape fails with its own message.
+    #[test]
+    fn string_runs_copy_around_escapes() {
+        let decode = |raw: &str| {
+            let mut out = String::new();
+            decode_json_string(raw, &mut out).map(|()| out)
+        };
+        let ok = [
+            ("", ""),
+            ("plain", "plain"),
+            (r"\nrun", "\nrun"),
+            (r"run\t", "run\t"),
+            (r"\r", "\r"),
+            (r#"\\\"\\\""#, "\\\"\\\""),
+            (r#"a\"\\b"#, "a\"\\b"),
+            (r#"é\"ü\\€"#, "é\"ü\\€"),
+            (r"😀é😀", "😀é😀"),
+            (r"😀ß", "😀ß"),
+            (r"ß😀", "ß😀"),
+            (r"\/\b\f", "/\u{8}\u{c}"),
+            (r"x\\", "x\\"),
+        ];
+        for (raw, want) in ok {
+            assert_eq!(decode(raw).as_deref(), Ok(want), "{raw}");
+        }
+        let bad = [
+            (r"\x", "invalid escape sequence"),
+            (r"é\é", "invalid escape sequence"),
+            (r"run\", "invalid escape sequence"),
+            (r"\u12", "truncated \\u escape"),
+            (r"ab\u00", "truncated \\u escape"),
+            (r"\u12g4", "invalid \\u escape"),
+            (r"\u00é0", "invalid \\u escape"),
+            (r"\udc00", "unpaired low surrogate"),
+            (r"\ud800x", "unpaired high surrogate"),
+            (r"\ud800", "unpaired high surrogate"),
+            (r"\ud800\n", "unpaired high surrogate"),
+            (r"\ud800A", "unpaired high surrogate"),
+            (r"\ud800\u0041", "invalid surrogate pair"),
+            (r"\ud800\ud800", "invalid surrogate pair"),
+            (r"\ud800\u00", "truncated \\u escape"),
+        ];
+        for (raw, want) in bad {
+            assert_eq!(decode(raw), Err(want.to_string()), "{raw}");
+        }
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! steady state — symbol table populated, scratch buffers warm — a
 //! start/end element event performs **no heap allocation anywhere** on
 //! the parse → intern → tag-dispatch path, for a single `StreamFilter`,
-//! for the `IndexedBank`'s shared-trie walk, and for the HTML-soup and
-//! JSON frontends feeding the same filter alike.
+//! for the `IndexedBank`'s shared-trie walk, for the HTML-soup and JSON
+//! frontends feeding the same filter alike, and for a one-query engine
+//! session's `run_reader` / `run_source` drains.
 //!
 //! Measured with a counting `#[global_allocator]`; this file holds a
 //! single test so no sibling test thread can pollute the counter.
 
+use frontier_xpath::engine::Engine;
 use frontier_xpath::filter::{CompiledQuery, IndexedBank, StreamFilter};
 use frontier_xpath::html::HtmlParser;
 use frontier_xpath::json::JsonParser;
@@ -392,4 +394,56 @@ fn interned_hot_path_allocates_nothing_per_element_in_steady_state() {
         after - before
     );
     assert_eq!(bank.results(), vec![Some(true), Some(true)]);
+
+    // --- One-query engine session: `run_reader` and `run_source`. -----
+    // A one-query session drives its bare filter straight from the
+    // tokenizer (XML) or through the zero-copy batch walk (HTML, JSON).
+    // Each whole run allocates only its `Verdicts`, so once the session,
+    // its parser and the sources are warm, a document eight times
+    // longer must cost exactly as many allocations as a short one.
+    let engine = Engine::builder().query_str("//r//i").build().unwrap();
+    let mut session = engine.session();
+    let mut html = engine.html_source();
+    let mut json = engine.json_source();
+    let xml_doc = |n: usize| format!("<r>{}</r>", r#"<i a="1">x</i><j/>"#.repeat(n));
+    let html_doc = |n: usize| format!("<r>{}</r>", r#"<i a="1">x</i><wbr>"#.repeat(n));
+    let json_doc = |n: usize| {
+        let members = r#""i":{"a":"x","n":17},"#.repeat(n);
+        format!("{{\"r\":{{{members}\"z\":0}}}}")
+    };
+    assert_flat_allocations("run_reader (xml)", xml_doc, |d| {
+        session.run_reader(d.as_bytes()).unwrap().any()
+    });
+    assert_flat_allocations("run_source (html)", html_doc, |d| {
+        session.run_source(&mut html, d.as_bytes()).unwrap().any()
+    });
+    assert_flat_allocations("run_source (json)", json_doc, |d| {
+        session.run_source(&mut json, d.as_bytes()).unwrap().any()
+    });
+}
+
+/// Warms `run` up on a long document built by `doc`, then asserts that a
+/// run over 1600 records allocates exactly as often as one over 200:
+/// whatever a whole run allocates, none of it is per element.
+fn assert_flat_allocations(
+    what: &str,
+    doc: impl Fn(usize) -> String,
+    mut run: impl FnMut(&str) -> bool,
+) {
+    let (short, long) = (doc(200), doc(1600));
+    for _ in 0..4 {
+        assert!(run(&long), "{what} warm-up");
+    }
+    let mut cost = |text: &str| {
+        let before = allocations();
+        assert!(run(text), "{what}");
+        allocations() - before
+    };
+    let short_cost = cost(&short);
+    let long_cost = cost(&long);
+    assert_eq!(
+        long_cost, short_cost,
+        "one-query session {what} must not allocate per element in steady \
+         state ({short_cost} allocations for 200 records, {long_cost} for 1600)"
+    );
 }

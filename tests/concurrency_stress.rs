@@ -24,7 +24,7 @@
 use frontier_xpath::server::{ServerConfig, ShardedServer};
 use frontier_xpath::xml::{Sym, Symbols};
 use frontier_xpath::xpath::parse_query;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Readers resolve through a frozen snapshot while the writer interns
@@ -44,12 +44,18 @@ fn snapshot_readers_survive_concurrent_interning() {
     let snapshot = Arc::new(symbols.freeze());
     assert!(snapshot.is_current(&symbols));
 
+    const READERS: usize = 4;
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..4)
+    // Completed rounds per reader, read by the writer to make sure the
+    // race under test really happens.
+    let rounds_done: Arc<Vec<AtomicU64>> =
+        Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
+    let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let snapshot = Arc::clone(&snapshot);
             let baseline = baseline.clone();
             let stop = Arc::clone(&stop);
+            let rounds_done = Arc::clone(&rounds_done);
             std::thread::spawn(move || {
                 let mut rounds = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -60,15 +66,34 @@ fn snapshot_readers_survive_concurrent_interning() {
                     // Names interned after the freeze must never leak in.
                     assert_eq!(snapshot.lookup(&format!("late-{rounds}")), None);
                     rounds += 1;
+                    rounds_done[r].store(rounds, Ordering::Release);
                 }
                 rounds
             })
         })
         .collect();
 
-    // The writer: thousands of novel interns racing the readers.
-    for i in 0..4000 {
-        symbols.intern(&format!("late-{i}"));
+    // The writer: thousands of novel interns racing the readers. It
+    // keeps interning fresh names until its 4000 are done *and* every
+    // reader has run one whole round inside the writing window (two
+    // completions past the count seen when writing began), so the
+    // overlap never depends on how the threads happen to be scheduled.
+    // A reader that stopped early (a failed assertion) ends the wait;
+    // its join below reports the failure.
+    let at_start: Vec<u64> = rounds_done
+        .iter()
+        .map(|c| c.load(Ordering::Acquire))
+        .collect();
+    let lagging = || {
+        rounds_done
+            .iter()
+            .zip(&at_start)
+            .any(|(c, &start)| c.load(Ordering::Acquire) < start + 2)
+    };
+    let mut interned = 0u64;
+    while (interned < 4000 || lagging()) && !readers.iter().any(|h| h.is_finished()) {
+        symbols.intern(&format!("late-{interned}"));
+        interned += 1;
     }
     stop.store(true, Ordering::Relaxed);
     for r in readers {

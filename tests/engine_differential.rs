@@ -3,12 +3,18 @@
 //! verdicts *and* same peak-bit space statistics — and its pull-based
 //! event source must filter large documents without buffering them.
 
+use frontier_xpath::filter::CompiledQuery;
 use frontier_xpath::prelude::*;
-use frontier_xpath::workloads::{random_document, RandomDocConfig};
+use frontier_xpath::workloads::{
+    html_soup_corpus, json_queries, json_records, random_document, soup_queries, HtmlSoupConfig,
+    JsonRecordsConfig, RandomDocConfig,
+};
+use frontier_xpath::xml::StreamingParser;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::Read;
+use std::sync::Arc;
 
 /// The same query pool the legacy differential suite sweeps.
 const QUERIES: &[&str] = &[
@@ -107,6 +113,117 @@ fn run_reader_matches_run_events() {
             );
         }
     }
+}
+
+/// A one-query session's verdict and peak bits must be those of a bare
+/// `StreamFilter` fed `events`.
+fn assert_bare_parity(got: &Verdicts, q: &Query, events: &[Event], what: &str, doc: &str) {
+    let mut bare = StreamFilter::new(q).unwrap();
+    let verdict = bare.run_stream(events).unwrap();
+    assert_eq!(got.matched(), &[verdict], "verdict: {what} on {doc}");
+    assert_eq!(
+        got.peak_memory_bits(),
+        &[bare.stats().max_bits],
+        "peak bits: {what} on {doc}"
+    );
+}
+
+/// One-query `Frontier` sessions run a bare filter on the interned
+/// reader path, and a reused session reproduces a bare `StreamFilter`
+/// fed the same events exactly — verdict *and* peak bits — through
+/// `run_reader` (XML) and `run_source` (HTML, JSON, NDJSON).
+#[test]
+fn one_query_reader_paths_match_bare_filter() {
+    let mut rng = SmallRng::seed_from_u64(0x1F11);
+    let cfg = RandomDocConfig::default();
+    for src in QUERIES {
+        let q = parse_query(src).unwrap();
+        let engine = Engine::builder().query(q.clone()).build().unwrap();
+        let mut session = engine.session();
+        for _ in 0..20 {
+            let d = random_document(&mut rng, &cfg);
+            let xml = d.to_xml();
+            let v = session.run_reader(xml.as_bytes()).unwrap();
+            assert_bare_parity(&v, &q, &d.to_events(), src, &xml);
+        }
+    }
+
+    let corpus = html_soup_corpus(&mut rng, &HtmlSoupConfig::default(), 16);
+    for src in soup_queries() {
+        let q = parse_query(&src).unwrap();
+        let engine = Engine::builder().query(q.clone()).build().unwrap();
+        let mut session = engine.session();
+        let mut html = engine.html_source();
+        for doc in &corpus {
+            let v = session.run_source(&mut html, doc.html.as_bytes()).unwrap();
+            assert_bare_parity(&v, &q, &parse_html(&doc.html), &src, &doc.html);
+        }
+    }
+
+    // NDJSON lines are the records with their insignificant newlines
+    // turned into spaces (a raw newline never occurs inside a string).
+    let records = json_records(&mut rng, &JsonRecordsConfig::default(), 24);
+    for src in json_queries() {
+        let q = parse_query(&src).unwrap();
+        let engine = Engine::builder().query(q.clone()).build().unwrap();
+        let mut session = engine.session();
+        let mut json = engine.json_source();
+        for rec in &records {
+            let v = session.run_source(&mut json, rec.json.as_bytes()).unwrap();
+            assert_bare_parity(&v, &q, &parse_json(&rec.json).unwrap(), &src, &rec.json);
+        }
+        let mut ndjson = engine.ndjson_source();
+        for group in records.chunks(3) {
+            let lines: String = group
+                .iter()
+                .map(|r| format!("{}\n", r.json.replace('\n', " ")))
+                .collect();
+            let events: Vec<Event> = group
+                .iter()
+                .flat_map(|r| parse_json(&r.json).unwrap())
+                .collect();
+            let v = session.run_source(&mut ndjson, lines.as_bytes()).unwrap();
+            assert_bare_parity(&v, &q, &events, &src, &lines);
+        }
+    }
+}
+
+/// A one-query selection session streams exactly what a one-query
+/// reporting `MultiFilter` fed by a parser sharing its table streams —
+/// the same matches (ordinals and spans) in the same order, with the
+/// same verdict, peak bits and pending-position peak — on a reused
+/// session.
+#[test]
+fn one_query_selection_streams_match_the_reporting_bank() {
+    let mut rng = SmallRng::seed_from_u64(0x5E1EC7);
+    let cfg = RandomDocConfig::default();
+    let mut matched = 0usize;
+    for src in QUERIES {
+        let q = parse_query(src).unwrap();
+        let engine = Engine::builder().query(q.clone()).select().build().unwrap();
+        let mut session = engine.session();
+        let mut bank =
+            MultiFilter::from_compiled_reporting([CompiledQuery::compile(&q).unwrap()]).unwrap();
+        let mut parser = StreamingParser::with_symbols(Arc::clone(bank.symbols()));
+        for _ in 0..20 {
+            let xml = random_document(&mut rng, &cfg).to_xml();
+            let mut got: Vec<Match> = Vec::new();
+            let v = session.run_reader_to(xml.as_bytes(), &mut got).unwrap();
+            let mut want: Vec<Match> = Vec::new();
+            parser.reset();
+            parser
+                .drive_reader(xml.as_bytes(), &mut |ev, span| {
+                    bank.process_sym_to(ev, span, &mut want)
+                })
+                .unwrap();
+            assert_eq!(got, want, "{src} on {xml}");
+            assert_eq!(v.matched(), &[bank.results()[0].unwrap()], "{src} on {xml}");
+            assert_eq!(v.peak_memory_bits(), &[bank.stats()[0].max_bits]);
+            assert_eq!(v.peak_pending_positions(), bank.peak_pending_positions());
+            matched += got.len();
+        }
+    }
+    assert!(matched > 50, "the corpus must produce matches: {matched}");
 }
 
 /// Every backend agrees with the reference evaluator on linear queries.
